@@ -28,7 +28,7 @@ bench:
 # BENCH_analysis.json in place (description, "before" and notes survive).
 bench-analysis:
 	$(GO) run ./tools/benchjson -out BENCH_analysis.json \
-		-pkg ./internal/analysis -bench 'BenchmarkAnalyze|BenchmarkIncremental' -benchtime 10x
+		-pkg ./internal/analysis -bench 'BenchmarkAnalyze|BenchmarkIncremental|BenchmarkDemand' -benchtime 10x
 
 # The experiments pipeline benchmarks plus the record-store path:
 # BenchmarkSweepJSONL - BenchmarkSweep is the full result-store overhead per
@@ -62,7 +62,7 @@ bench-check:
 		-bench 'BenchmarkSimulate|BenchmarkEngine|BenchmarkEventQueue|BenchmarkReadyQueue|BenchmarkSpanRecord|BenchmarkPromText' \
 		-benchtime 1x
 	$(GO) run ./tools/benchjson -check -out BENCH_analysis.json \
-		-pkg ./internal/analysis -bench 'BenchmarkAnalyze|BenchmarkIncremental' -benchtime 1x
+		-pkg ./internal/analysis -bench 'BenchmarkAnalyze|BenchmarkIncremental|BenchmarkDemand' -benchtime 1x
 	$(GO) run ./tools/benchjson -check -out BENCH_experiments.json \
 		-pkg ./internal/experiments,./internal/record \
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 1x
@@ -91,20 +91,23 @@ bench-regress:
 	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) \
 		-max-regress $(MAX_REGRESS) -max-regress-allocs $(MAX_REGRESS_ALLOCS) \
 		-out BENCH_analysis.json -pkg ./internal/analysis \
-		-bench 'BenchmarkAnalyze|BenchmarkIncremental' -benchtime 10x
+		-bench 'BenchmarkAnalyze|BenchmarkIncremental|BenchmarkDemand' -benchtime 10x
 	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) \
 		-max-regress $(MAX_REGRESS) -max-regress-allocs $(MAX_REGRESS_ALLOCS) \
 		-out BENCH_experiments.json -pkg ./internal/experiments,./internal/record \
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x
 
-# Differential-fuzz the engine's equivalence claims for 30s each — the
-# timing wheel against the reference heap, the locking arbiters, and the
-# batched interleaved pass against sequential runs. What CI's fuzz smoke
-# runs; crank -fuzztime locally for a deeper soak.
+# Differential-fuzz the equivalence claims for 30s each — the timing wheel
+# against the reference heap, the locking arbiters, the batched interleaved
+# pass against sequential runs, and the analyzer's single-division demand
+# kernel and shortcut per-instance loop against the reference kernel. What
+# CI's fuzz smoke runs; crank -fuzztime locally for a deeper soak.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzQueueEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzLockingEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzDemandExact -fuzztime 30s ./internal/analysis
+	$(GO) test -run NONE -fuzz FuzzAnalyzeExact -fuzztime 30s ./internal/analysis
 
 cover:
 	$(GO) test -cover ./...

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rtsync/internal/analysis"
@@ -259,5 +261,169 @@ func TestServiceHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz: %s", resp.Status)
+	}
+}
+
+func TestServiceRequestDecoding(t *testing.T) {
+	ws, _ := newTestWorkspace(t, model.Example2(), AlgoSADS)
+	svc := NewService(ws)
+	oversized := `{"algo": "` + strings.Repeat("x", maxRequestBytes) + `"}`
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"empty analyze body", "/v1/analyze", "", http.StatusOK},
+		{"truncated analyze body", "/v1/analyze", "{", http.StatusBadRequest},
+		{"oversized analyze body", "/v1/analyze", oversized, http.StatusRequestEntityTooLarge},
+		{"empty delta body", "/v1/delta", "", http.StatusBadRequest},
+		{"truncated delta body", "/v1/delta", `{"remove": [`, http.StatusBadRequest},
+		{"oversized delta body", "/v1/delta", oversized, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d: %s", c.name, rec.Code, c.want, rec.Body.Bytes())
+		}
+		if c.want == http.StatusOK {
+			var v Verdict
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || len(v.Tasks) != 3 {
+				t.Errorf("%s: verdict %s (%v)", c.name, rec.Body.Bytes(), err)
+			}
+		}
+	}
+}
+
+// clusterSystem merges two independent generated workloads, each on its
+// own pair of processors, with task names prefixed "A/" and "B/". No chain
+// crosses clusters, so a task's bound never depends on the other cluster.
+func clusterSystem(t *testing.T) *model.System {
+	t.Helper()
+	merged := &model.System{}
+	for c, prefix := range []string{"A/", "B/"} {
+		cfg := workload.DefaultConfig(2, 0.5)
+		cfg.Processors = 2
+		cfg.Tasks = 4
+		cfg.Seed = 101 + int64(c)
+		sys, err := workload.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := len(merged.Procs)
+		for _, p := range sys.Procs {
+			p.Name = prefix + p.Name
+			merged.Procs = append(merged.Procs, p)
+		}
+		for _, task := range sys.Tasks {
+			task.Name = prefix + task.Name
+			task.Subtasks = append([]model.Subtask(nil), task.Subtasks...)
+			for i := range task.Subtasks {
+				task.Subtasks[i].Proc += off
+			}
+			merged.Tasks = append(merged.Tasks, task)
+		}
+	}
+	if err := merged.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// clientScript is one client's request sequence, touching only the tasks
+// whose names carry its prefix: probes, repeated probes (cache), forced
+// commits, a removal and its undo, under several algorithms.
+func clientScript(sys *model.System, prefix string) []Delta {
+	var own []model.Task
+	for _, task := range sys.Tasks {
+		if strings.HasPrefix(task.Name, prefix) {
+			own = append(own, task)
+		}
+	}
+	bump := func(task model.Task, by model.Duration) model.Task {
+		task.Subtasks = append([]model.Subtask(nil), task.Subtasks...)
+		task.Subtasks[0].Exec += by
+		return task
+	}
+	var script []Delta
+	for k, algo := range []string{AlgoSADS, AlgoSAPM, AlgoHolistic, AlgoSADS} {
+		task := own[k%len(own)]
+		probe := Delta{Modify: []model.Task{bump(task, 1)}, Algo: algo}
+		script = append(script, probe, probe,
+			Delta{Modify: []model.Task{bump(task, 2)}, Algo: algo, Commit: true, Force: true},
+			Delta{Remove: []string{own[(k+1)%len(own)].Name}, Algo: algo, Commit: true, Force: true},
+			Delta{Add: []model.Task{own[(k+1)%len(own)]}, Algo: algo, Commit: true, Force: true},
+		)
+	}
+	return script
+}
+
+// ownVerdicts posts a script to srv and returns, per request, the task
+// verdicts of the tasks carrying prefix.
+func ownVerdicts(t *testing.T, srv *httptest.Server, prefix string, script []Delta) [][]TaskVerdict {
+	t.Helper()
+	out := make([][]TaskVerdict, 0, len(script))
+	for k, d := range script {
+		body, err := json.Marshal(d)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		resp, err := http.Post(srv.URL+"/v1/delta", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		var v Verdict
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s request %d: %s (%v)", prefix, k, resp.Status, err)
+			return nil
+		}
+		var own []TaskVerdict
+		for _, tv := range v.Tasks {
+			if strings.HasPrefix(tv.Name, prefix) {
+				own = append(own, tv)
+			}
+		}
+		out = append(out, own)
+	}
+	return out
+}
+
+// TestServiceConcurrentClients runs two clients concurrently against one
+// service, each on its own cluster's tasks, and checks that every answer
+// about a client's own tasks equals a sequential replay of the same
+// scripts. Under -race it also covers the workspace's locking.
+func TestServiceConcurrentClients(t *testing.T) {
+	sys := clusterSystem(t)
+	prefixes := []string{"A/", "B/"}
+	scripts := [][]Delta{clientScript(sys, "A/"), clientScript(sys, "B/")}
+
+	seqWS, _ := newTestWorkspace(t, sys, AlgoSADS)
+	seqSrv := httptest.NewServer(NewService(seqWS))
+	defer seqSrv.Close()
+	want := make([][][]TaskVerdict, len(prefixes))
+	for c, prefix := range prefixes {
+		want[c] = ownVerdicts(t, seqSrv, prefix, scripts[c])
+	}
+
+	ws, _ := newTestWorkspace(t, sys, AlgoSADS)
+	srv := httptest.NewServer(NewService(ws))
+	defer srv.Close()
+	got := make([][][]TaskVerdict, len(prefixes))
+	var wg sync.WaitGroup
+	for c, prefix := range prefixes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[c] = ownVerdicts(t, srv, prefix, scripts[c])
+		}()
+	}
+	wg.Wait()
+	for c, prefix := range prefixes {
+		if !reflect.DeepEqual(got[c], want[c]) {
+			t.Errorf("client %s: concurrent verdicts differ from the sequential replay\nconcurrent: %+v\nsequential: %+v",
+				prefix, got[c], want[c])
+		}
 	}
 }

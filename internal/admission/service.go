@@ -2,7 +2,9 @@ package admission
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"rtsync/internal/obs"
@@ -19,11 +21,16 @@ import (
 //	                                           the workspace's AnalysisStats
 //
 // Errors return JSON {"error": "..."} with status 400 (bad request or
-// unanalyzable delta) or 405.
+// unanalyzable delta), 405, or 413 (body over maxRequestBytes).
 type Service struct {
 	ws  *Workspace
 	mux *http.ServeMux
 }
+
+// maxRequestBytes caps a POST body. A delta carrying a few thousand tasks
+// fits with room to spare; a larger body is refused with 413 before it is
+// decoded.
+const maxRequestBytes = 1 << 20
 
 // NewService wires a Workspace into a Service.
 func NewService(ws *Workspace) *Service {
@@ -45,10 +52,7 @@ func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d Delta
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("decode delta: %v", err))
+	if !decodeBody(w, r, &d, "delta", false) {
 		return
 	}
 	v, err := s.ws.ApplyDelta(d)
@@ -67,10 +71,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Algo string `json:"algo,omitempty"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && err.Error() != "EOF" {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !decodeBody(w, r, &req, "request", true) {
 		return
 	}
 	v, err := s.ws.Analyze(req.Algo)
@@ -79,6 +80,26 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, v)
+}
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields and
+// bodies over maxRequestBytes (413). On failure it writes the error
+// response and returns false. An empty body decodes to v unchanged when
+// emptyOK; a truncated one is always a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil || emptyOK && errors.Is(err, io.EOF) {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	jsonError(w, status, fmt.Sprintf("decode %s: %v", what, err))
+	return false
 }
 
 func (s *Service) handleSystem(w http.ResponseWriter, r *http.Request) {

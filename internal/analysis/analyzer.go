@@ -290,22 +290,88 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 	a.mpcp.Protocol, a.dpcp.Protocol = "MPCP", "DPCP"
 }
 
-// solve runs one inner fixed-point solve through solveFixpoint, raising
-// the caller's seed to the fluid lower bound when warm-starting is on and
-// recording the demand-evaluation count. Every sound seed converges to the
-// identical least fixed point (see solveFixpoint), so the flag never
-// changes a bound — only how fast it is reached.
+// solve runs one inner fixed-point solve from the larger of S0 and the
+// caller's seed, raising the seed to the fluid lower bound when
+// warm-starting is on. Every sound seed converges to the identical least
+// fixed point (see fixpointFrom), so the flag never changes a bound — only
+// how fast it is reached.
 func (a *Analyzer) solve(base model.Duration, terms []term, cap model.Duration, start model.Duration) model.Duration {
 	if a.opts.WarmStart {
 		if fs := fluidSeed(base, terms); fs > start {
 			start = fs
 		}
 	}
-	v, iters := solveFixpoint(base, terms, cap, a.opts.MaxFixpointIter, start)
+	return a.solveFrom(base, terms, cap, max(startDemand(base, terms), start), start > 0)
+}
+
+// solveFrom iterates from t, which the caller guarantees lies in
+// [S0, lfp], and records the demand-evaluation count; seeded marks a
+// solve handed a nonzero seed.
+func (a *Analyzer) solveFrom(base model.Duration, terms []term, cap model.Duration, t model.Duration, seeded bool) model.Duration {
+	v, iters := fixpointFrom(base, terms, cap, a.opts.MaxFixpointIter, t)
 	if a.Stats != nil {
-		a.Stats.ObserveFixpoint(int64(iters), start > 0)
+		a.Stats.ObserveFixpoint(int64(iters), seeded)
 	}
 	return v
+}
+
+// response runs steps 1–4 of the busy-period analysis for subtask i, the
+// part every analysis shares: the level busy period D, its instance count
+// M = ceil((D+J)/p), and the worst response from the optimistic release,
+// max_k C(k) + J − (k−1)·p. terms[0] is the self term and terms[1:] the
+// interferers, Exec and Jitter already set; J is the self term's jitter
+// and the completion C(k) solves t = B + k·e + Σ interference(t) with e
+// the self term's Exec. worst is model.Infinite when a solve fails or M
+// exceeds MaxInstances (d too when D diverges); d and m are returned for
+// SA/PM's per-subtask record.
+//
+// Two shortcuts, both exact (DESIGN.md §4k): a single-instance busy
+// period has C(1) = D, and C(k) starts at C(k−1) + e, which lies in
+// [S0, C(k)], so its S0 pass is skipped. warm selects the pass-to-pass
+// seeds of the iterative analyses under Options.WarmStart (warmD, warmC1);
+// SA/PM runs once and never reads them.
+func (a *Analyzer) response(i int, terms []term, warm bool) (worst, d model.Duration, m int64) {
+	if a.overUtil[i] {
+		return model.Infinite, model.Infinite, 0
+	}
+	var dStart model.Duration
+	if warm {
+		dStart = a.warmD[i]
+	}
+	d = a.solve(a.block[i], terms, a.busyCap[i], dStart)
+	if d.IsInfinite() {
+		return model.Infinite, d, 0
+	}
+	self := terms[0]
+	m = model.CeilDiv(d.AddSat(self.Jitter), a.period[i])
+	if m > a.opts.MaxInstances {
+		return model.Infinite, d, m
+	}
+	c := d // C(1) = D when the busy period holds one instance
+	if m > 1 {
+		var cStart model.Duration
+		if warm {
+			cStart = a.warmC1[i]
+		}
+		c = a.solve(a.block[i].AddSat(self.Exec), terms[1:], a.busyCap[i], cStart)
+		if c.IsInfinite() {
+			return model.Infinite, d, m
+		}
+	}
+	if warm {
+		a.warmD[i], a.warmC1[i] = d, c
+	}
+	worst = c.AddSat(self.Jitter)
+	for k := int64(2); k <= m; k++ {
+		c = a.solveFrom(a.block[i].AddSat(self.Exec.MulSat(k)), terms[1:], a.busyCap[i], c.AddSat(self.Exec), true)
+		if c.IsInfinite() {
+			return model.Infinite, d, m
+		}
+		if rk := c.AddSat(self.Jitter) - a.period[i].MulSat(k-1); rk > worst {
+			worst = rk
+		}
+	}
+	return worst, d, m
 }
 
 // resetWarm zeroes the pass-to-pass warm-start state. Called on entry to
@@ -361,44 +427,14 @@ func (a *Analyzer) AnalyzePM() *Result {
 	return res
 }
 
-// pmSubtask computes R(i,j) for one strictly periodic subtask.
+// pmSubtask computes R(i,j) for one strictly periodic subtask: every
+// term's jitter is zero, so the response is measured from the release.
 func (a *Analyzer) pmSubtask(i int) SubtaskBound {
-	if a.overUtil[i] {
-		return SubtaskBound{Response: model.Infinite, BusyPeriod: model.Infinite}
-	}
-	// Strictly periodic releases: every term's jitter is zero. The busy
-	// period uses all terms (self included); the per-instance completions
-	// use the interferers alone — the same backing array, no duplication.
 	terms := a.termBuf[a.termOff[i]:a.termOff[i+1]]
 	for k := range terms {
 		terms[k].Jitter = 0
 	}
-	d := a.solve(a.block[i], terms, a.busyCap[i], 0)
-	if d.IsInfinite() {
-		return SubtaskBound{Response: model.Infinite, BusyPeriod: model.Infinite}
-	}
-
-	m := model.CeilDiv(d, a.period[i])
-	if m > a.opts.MaxInstances {
-		return SubtaskBound{Response: model.Infinite, BusyPeriod: d, Instances: m}
-	}
-
-	intTerms := terms[1:]
-	var worst, prev model.Duration
-	for k := int64(1); k <= m; k++ {
-		base := a.block[i].AddSat(a.exec[i].MulSat(k))
-		// The completion series is strictly increasing in k, so the
-		// previous solution warm-starts the next solve.
-		c := a.solve(base, intTerms, a.busyCap[i], prev)
-		if c.IsInfinite() {
-			return SubtaskBound{Response: model.Infinite, BusyPeriod: d, Instances: m}
-		}
-		prev = c
-		r := c - a.period[i].MulSat(k-1)
-		if r > worst {
-			worst = r
-		}
-	}
+	worst, d, m := a.response(i, terms, false)
 	return SubtaskBound{Response: worst, BusyPeriod: d, Instances: m}
 }
 
@@ -501,86 +537,40 @@ func (a *Analyzer) runDS(res *Result, r []model.Duration, pending int) *Result {
 // DS protocol an instance of T(u,v) is released when T(u,v-1) completes, so
 // its release deviates from strict periodicity by up to R(u,v-1); the
 // interference terms therefore charge ceil((t + R(u,v-1)) / p_u) instances
-// — the "clumping effect".
+// — the "clumping effect" — and the subtask's own instances count
+// M(i,j) = ceil((D + R(i,j-1)) / p) with IEER times
+// R(i,j)(m) = C(i,j)(m) + R(i,j-1) − (m−1)·p.
 //
 // A subtask whose new bound cannot be established (divergence, or past the
 // per-task failure cap) gets model.Infinite, which poisons its successors.
 func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
+	terms, ok := a.ieertTerms(i, r)
+	if !ok {
+		return model.Infinite
+	}
+	worst, _, _ := a.response(i, terms, a.opts.WarmStart)
+	if worst > a.failCap[i] {
+		return model.Infinite
+	}
+	return worst
+}
+
+// ieertTerms sets subtask i's term jitters to the current bounds of the
+// terms' chain predecessors, reporting false when one is infinite.
+func (a *Analyzer) ieertTerms(i int, r []model.Duration) ([]term, bool) {
 	off := a.termOff[i]
 	terms := a.termBuf[off:a.termOff[i+1]]
-	selfJitter := model.Duration(0)
-	if src := a.termSrc[off]; src >= 0 {
-		selfJitter = r[src]
-	}
-	if selfJitter.IsInfinite() {
-		return model.Infinite
-	}
-	if a.overUtil[i] {
-		return model.Infinite
-	}
-	terms[0].Jitter = selfJitter
-	for k := 1; k < len(terms); k++ {
+	for k := range terms {
 		j := model.Duration(0)
 		if src := a.termSrc[off+k]; src >= 0 {
 			j = r[src]
 		}
 		if j.IsInfinite() {
-			return model.Infinite
+			return nil, false
 		}
 		terms[k].Jitter = j
 	}
-
-	// Step 1: busy-period duration D(i,j), self term included with its own
-	// release jitter. The subtask's previous converged duration (within
-	// this analysis) seeds the solve: its jitter inputs only grew since.
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], terms, a.busyCap[i], dStart)
-	if d.IsInfinite() {
-		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
-	}
-
-	// Step 2: M(i,j) = ceil((D + R(i,j-1)) / p).
-	m := model.CeilDiv(d.AddSat(selfJitter), a.period[i])
-	if m > a.opts.MaxInstances {
-		return model.Infinite
-	}
-
-	// Step 3: per-instance completion bounds and IEER times
-	// R(i,j)(m) = C(i,j)(m) + R(i,j-1) − (m−1)·p. Completion times are
-	// strictly increasing in the instance index, so each solve warm-starts
-	// from the previous one — and the first from its own previous-pass
-	// value.
-	intTerms := terms[1:]
-	var worst, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
-	for k := int64(1); k <= m; k++ {
-		base := a.block[i].AddSat(a.exec[i].MulSat(k))
-		c := a.solve(base, intTerms, a.busyCap[i], prev)
-		if c.IsInfinite() {
-			return model.Infinite
-		}
-		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
-		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
-		if rk > worst {
-			worst = rk
-		}
-	}
-	// Step 4 happened in the loop; apply the failure cap.
-	if worst > a.failCap[i] {
-		return model.Infinite
-	}
-	return worst
+	return terms, true
 }
 
 // AnalyzeHolistic bounds task EER times under the DS protocol with the
@@ -620,87 +610,46 @@ func (a *Analyzer) AnalyzeHolistic() *Result {
 
 // holisticSubtask computes the new bound L'(i,j) = S(i,j−1) + R(i,j) where
 // R(i,j) is the jitter-aware worst response time of the subtask from its
-// own release and S is the best-case completion offset. The release jitter
-// charged for an interfering subtask is the WIDTH L(u,v−1) − S(u,v−1) of
-// its predecessor's completion window, never larger than the full IEER
-// bound Algorithm IEERT charges.
+// own release and S is the best-case completion offset.
 func (a *Analyzer) holisticSubtask(i int, l []model.Duration) model.Duration {
-	off := a.termOff[i]
-	terms := a.termBuf[off:a.termOff[i+1]]
-	selfJitter := model.Duration(0)
-	if src := a.termSrc[off]; src >= 0 {
-		if l[src].IsInfinite() {
-			return model.Infinite
-		}
-		selfJitter = l[src] - a.prefixExec[src]
-	}
-	if a.overUtil[i] {
+	terms, ok := a.holisticTerms(i, l)
+	if !ok {
 		return model.Infinite
 	}
-	terms[0].Jitter = selfJitter
-	for k := 1; k < len(terms); k++ {
-		j := model.Duration(0)
-		if src := a.termSrc[off+k]; src >= 0 {
-			if l[src].IsInfinite() {
-				return model.Infinite
-			}
-			j = l[src] - a.prefixExec[src]
-		}
-		terms[k].Jitter = j
-	}
-
-	// Busy period at this level, self term with its own release jitter;
-	// previous-pass values seed the solves exactly as in ieertSubtask.
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], terms, a.busyCap[i], dStart)
-	if d.IsInfinite() {
-		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
-	}
-	m := model.CeilDiv(d.AddSat(selfJitter), a.period[i])
-	if m > a.opts.MaxInstances {
-		return model.Infinite
-	}
-
-	// Worst response from the subtask's own release:
-	// R = max_k (C(k) + J − (k−1)·p).
-	intTerms := terms[1:]
-	var worstResp, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
-	for k := int64(1); k <= m; k++ {
-		base := a.block[i].AddSat(a.exec[i].MulSat(k))
-		c := a.solve(base, intTerms, a.busyCap[i], prev)
-		if c.IsInfinite() {
-			return model.Infinite
-		}
-		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
-		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
-		if rk > worstResp {
-			worstResp = rk
-		}
-	}
+	worstResp, _, _ := a.response(i, terms, a.opts.WarmStart)
 	// New completion-offset bound: the predecessor's worst completion plus
 	// this subtask's worst response from release. The response already
 	// contains the release jitter relative to the earliest possible
 	// release, so anchor at the predecessor's BEST completion.
 	lNew := worstResp
-	if src := a.termSrc[off]; src >= 0 {
+	if src := a.termSrc[a.termOff[i]]; src >= 0 {
 		lNew = a.prefixExec[src].AddSat(worstResp)
 	}
 	if lNew > a.failCap[i] {
 		return model.Infinite
 	}
 	return lNew
+}
+
+// holisticTerms sets subtask i's term jitters for the holistic analysis:
+// the release jitter charged for a term is the WIDTH L(u,v−1) − S(u,v−1)
+// of its predecessor's completion window, never larger than the full IEER
+// bound Algorithm IEERT charges. It reports false when a predecessor's
+// bound is infinite.
+func (a *Analyzer) holisticTerms(i int, l []model.Duration) ([]term, bool) {
+	off := a.termOff[i]
+	terms := a.termBuf[off:a.termOff[i+1]]
+	for k := range terms {
+		j := model.Duration(0)
+		if src := a.termSrc[off+k]; src >= 0 {
+			if l[src].IsInfinite() {
+				return nil, false
+			}
+			j = l[src] - a.prefixExec[src]
+		}
+		terms[k].Jitter = j
+	}
+	return terms, true
 }
 
 // finishIterative copies the converged IEER bounds r into res and derives

@@ -13,6 +13,7 @@ package analysis
 import (
 	"math"
 	"math/big"
+	"math/bits"
 
 	"rtsync/internal/model"
 )
@@ -27,55 +28,80 @@ type term struct {
 	Jitter model.Duration
 }
 
-// demand evaluates base + sum over terms of ceil((t+J)/p)*e with saturation.
+// demand evaluates base + Σ ceil((t+J)/p)·e, saturating at model.Infinite.
+//
+// Precondition, guaranteed by every caller and not re-checked per term:
+// t > 0 and finite, base ≥ 0, and every term has Period > 0, Exec ≥ 0 and
+// a finite Jitter ≥ 0. Then x = t+J fits an unsigned word with x ≥ 1, so
+// ceil(x/p) is the single unsigned division (x−1)/p + 1, and the products
+// and the running sum are exact 128-bit-checked unsigned arithmetic. The
+// result is the exact sum, or Infinite when that sum — or any shifted
+// instant t+J — reaches MaxInt64: the same saturation points as chained
+// Duration.AddSat/MulSat, without a branch per term.
 func demand(base model.Duration, t model.Duration, terms []term) model.Duration {
-	total := base
-	for _, tm := range terms {
-		if tm.Jitter.IsInfinite() {
-			return model.Infinite
-		}
-		shifted := t.AddSat(tm.Jitter)
-		if shifted.IsInfinite() {
-			return model.Infinite
-		}
-		n := model.CeilDiv(shifted, tm.Period)
-		total = total.AddSat(tm.Exec.MulSat(n))
-		if total.IsInfinite() {
-			return model.Infinite
-		}
+	total, sat := uint64(base), uint64(0)
+	for k := range terms {
+		tm := &terms[k]
+		x := uint64(t) + uint64(tm.Jitter)
+		hi, lo := bits.Mul64(uint64(tm.Exec), (x-1)/uint64(tm.Period)+1)
+		var carry uint64
+		total, carry = bits.Add64(total, lo, 0)
+		sat |= hi | carry | (x+1)>>63 // (x+1)>>63 is set iff x ≥ MaxInt64
 	}
-	return total
+	if sat != 0 || total >= math.MaxInt64 {
+		return model.Infinite
+	}
+	return model.Duration(total)
+}
+
+// startDemand returns S0, the demand an instant after time 0: every term
+// contributes max(1, ceil(J/p)) instances. Same precondition as demand;
+// a jitter of at most one period needs no division.
+func startDemand(base model.Duration, terms []term) model.Duration {
+	total, sat := uint64(base), uint64(0)
+	for k := range terms {
+		tm := &terms[k]
+		n := uint64(1)
+		if tm.Jitter > tm.Period {
+			n = (uint64(tm.Jitter)-1)/uint64(tm.Period) + 1
+		}
+		hi, lo := bits.Mul64(uint64(tm.Exec), n)
+		var carry uint64
+		total, carry = bits.Add64(total, lo, 0)
+		sat |= hi | carry
+	}
+	if sat != 0 || total >= math.MaxInt64 {
+		return model.Infinite
+	}
+	return model.Duration(total)
 }
 
 // solveFixpoint finds the least t > 0 with t = base + Σ ceil((t+J_k)/p_k)·e_k
 // by the standard monotone iteration (Lehoczky; Joseph & Pandya). It starts
-// from the demand of an instant just after 0 — every term contributes at
-// least one instance — so the iterates increase monotonically to the least
-// fixed point. A warm start below the least fixed point may be supplied to
-// skip early iterations (pass 0 when none is known): for any seed s with
-// S0 ≤ s ≤ lfp the iterates t, demand(t), demand²(t), ... stay within
-// [s, lfp] (demand is monotone and every point of [S0, lfp] has
-// demand(t) ≥ t, since t ≤ lfp = demand(lfp) and the largest iterate below
-// t bounds it from below), so the iteration converges to exactly the same
-// least fixed point — only in fewer steps. It returns model.Infinite if
-// the iterate exceeds cap or the iteration fails to converge within
-// maxIter steps, along with the number of demand evaluations spent.
+// from S0 (startDemand) — every term contributes at least one instance —
+// so the iterates increase monotonically to the least fixed point. A warm
+// start below the least fixed point may be supplied to skip early
+// iterations (pass 0 when none is known); the larger of it and S0 is
+// handed to fixpointFrom. It returns model.Infinite if the iterate exceeds
+// cap or the iteration fails to converge within maxIter steps, along with
+// the number of demand evaluations spent. The terms obey demand's
+// precondition.
 func solveFixpoint(base model.Duration, terms []term, cap model.Duration, maxIter int, start model.Duration) (model.Duration, int) {
-	// S0 = demand just after time 0: ceil((0+ + J)/p) >= 1 per term.
-	t := base
-	for _, tm := range terms {
-		n := model.CeilDiv(tm.Jitter, tm.Period) // instances due to jitter alone...
-		if n < 1 {
-			n = 1 // ...but never fewer than one at 0+
-		}
-		t = t.AddSat(tm.Exec.MulSat(n))
-	}
-	if start > t {
-		t = start
-	}
+	return fixpointFrom(base, terms, cap, maxIter, max(startDemand(base, terms), start))
+}
+
+// fixpointFrom runs the fixed-point iteration from t. For any t with
+// S0 ≤ t ≤ lfp the iterates t, demand(t), demand²(t), ... stay within
+// [t, lfp] (demand is monotone and every point of [S0, lfp] has
+// demand(t) ≥ t, since t ≤ lfp = demand(lfp) and the largest iterate below
+// t bounds it from below), so the iteration converges to exactly the
+// least fixed point S0 would reach — in no more steps, as the iterates
+// dominate S0's pointwise. When that fixed point lies above cap (or none
+// exists), the dominating iterates pass cap no later than S0's do. A
+// t ≤ 0 (base == 0 and no terms: t = 0 has no positive solution) reports
+// divergence rather than a bogus zero.
+func fixpointFrom(base model.Duration, terms []term, cap model.Duration, maxIter int, t model.Duration) (model.Duration, int) {
 	if t <= 0 {
-		// base == 0 and no terms: the equation t = 0 has no positive
-		// solution; report divergence rather than a bogus zero.
 		return model.Infinite, 0
 	}
 	for i := 0; i < maxIter; i++ {
@@ -87,8 +113,8 @@ func solveFixpoint(base model.Duration, terms []term, cap model.Duration, maxIte
 			return t, i + 1
 		}
 		if next < t {
-			// Demand is non-decreasing in t; a drop means saturation
-			// artifacts. Treat as divergence.
+			// Demand is non-decreasing in t; a drop means the start lay
+			// above the least fixed point. Treat as divergence.
 			return model.Infinite, i + 1
 		}
 		t = next

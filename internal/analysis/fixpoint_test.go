@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rtsync/internal/model"
+	"rtsync/internal/workload"
 )
 
 func defaultTestOpts() Options { return DefaultOptions() }
@@ -202,3 +203,58 @@ func TestProcOverUtilized(t *testing.T) {
 		t.Error("A's level should not be over-utilized")
 	}
 }
+
+// BenchmarkDemand prices the demand kernel per interference term on the
+// (8, 90%) benchmark shape: every subtask's terms, jittered as on SA/DS's
+// first pass (by the predecessors' prefix execution sums), evaluated at
+// each iterate of its busy-period iteration — the points the analyses
+// actually visit. It reports ns/term, the figure a same-run A/B of kernel
+// changes compares.
+func BenchmarkDemand(b *testing.B) {
+	cfg := workload.DefaultConfig(8, 0.9)
+	cfg.Seed = 17
+	sys, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := NewAnalyzer(sys, DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type probe struct {
+		base, t model.Duration
+		terms   []term
+	}
+	var probes []probe
+	terms := 0
+	for i := 0; i < a.ix.Len(); i++ {
+		off := a.termOff[i]
+		ts := append([]term(nil), a.termBuf[off:a.termOff[i+1]]...)
+		for k := range ts {
+			ts[k].Jitter = 0
+			if src := a.termSrc[off+k]; src >= 0 {
+				ts[k].Jitter = a.prefixExec[src]
+			}
+		}
+		for t, steps := model.Duration(1), 0; t <= a.busyCap[i] && steps < 64; steps++ {
+			probes = append(probes, probe{base: a.block[i], t: t, terms: ts})
+			terms += len(ts)
+			next := demand(a.block[i], t, ts)
+			if next <= t {
+				break
+			}
+			t = next
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, p := range probes {
+			demandSink = demand(p.base, p.t, p.terms)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*terms), "ns/term")
+}
+
+// demandSink keeps BenchmarkDemand's calls from being optimized away.
+var demandSink model.Duration

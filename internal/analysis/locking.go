@@ -305,8 +305,25 @@ func (a *Analyzer) lockWait(i int, proto lockProto, l, lw []model.Duration) mode
 // self-demand (charge 2) and the protocol's boosted-section terms
 // (charge 3) appended to the interference set.
 func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duration) model.Duration {
-	if wait.IsInfinite() || a.overUtil[i] {
+	terms, ok := a.lockTerms(i, l, lw, wait)
+	if !ok {
 		return model.Infinite
+	}
+	worst, _, _ := a.response(i, terms, a.opts.WarmStart)
+	if worst > a.failCap[i] {
+		return model.Infinite
+	}
+	return worst
+}
+
+// lockTerms assembles subtask i's locking-analysis terms in evalTerms: the
+// self term with execution inflated by the lock wait and the chain
+// predecessor's bound as jitter, the interferers jittered by their
+// predecessors' bounds plus their own lock waits, then the protocol's
+// boosted-section terms. It reports false when an input is infinite.
+func (a *Analyzer) lockTerms(i int, l, lw []model.Duration, wait model.Duration) ([]term, bool) {
+	if wait.IsInfinite() {
+		return nil, false
 	}
 	off := a.termOff[i]
 	selfJitter := model.Duration(0)
@@ -314,17 +331,16 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 		selfJitter = l[src]
 	}
 	if selfJitter.IsInfinite() {
-		return model.Infinite
+		return nil, false
 	}
-	einf := a.exec[i].AddSat(wait)
 	a.evalTerms = append(a.evalTerms[:0], a.termBuf[off:a.termOff[i+1]]...)
-	a.evalTerms[0].Exec = einf
+	a.evalTerms[0].Exec = a.exec[i].AddSat(wait)
 	a.evalTerms[0].Jitter = selfJitter
 	for k := 1; k < len(a.evalTerms); k++ {
 		u := int(a.termSub[off+k])
 		j := a.relJitter(u, l).AddSat(lw[u])
 		if j.IsInfinite() {
-			return model.Infinite
+			return nil, false
 		}
 		a.evalTerms[k].Jitter = j
 	}
@@ -332,52 +348,13 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 		u := int(a.lockSub[k])
 		j := a.relJitter(u, l).AddSat(lw[u])
 		if j.IsInfinite() {
-			return model.Infinite
+			return nil, false
 		}
 		t := a.lockBuf[k]
 		t.Jitter = j
 		a.evalTerms = append(a.evalTerms, t)
 	}
-
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], a.evalTerms, a.busyCap[i], dStart)
-	if d.IsInfinite() {
-		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
-	}
-	m := model.CeilDiv(d.AddSat(selfJitter), a.period[i])
-	if m > a.opts.MaxInstances {
-		return model.Infinite
-	}
-	intTerms := a.evalTerms[1:]
-	var worst, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
-	for k := int64(1); k <= m; k++ {
-		base := a.block[i].AddSat(einf.MulSat(k))
-		c := a.solve(base, intTerms, a.busyCap[i], prev)
-		if c.IsInfinite() {
-			return model.Infinite
-		}
-		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
-		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
-		if rk > worst {
-			worst = rk
-		}
-	}
-	if worst > a.failCap[i] {
-		return model.Infinite
-	}
-	return worst
+	return a.evalTerms, true
 }
 
 // analyzeLocking runs the Jacobi iteration over (bounds, lock waits).

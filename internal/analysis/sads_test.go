@@ -182,6 +182,42 @@ func TestSADSFailureCapTriggers(t *testing.T) {
 	}
 }
 
+// TestSADSHugePeriodChain pins the instance count of a busy period whose
+// D + J lies within a period of MaxInt64: one task of period 2^62 whose two
+// 3e18-tick subtasks run on different processors. The second subtask's
+// busy period is D = 6e18 with jitter J = 3e18, so M = ceil(9e18/2^62) = 2
+// and the EER bound is max(C(1)+J, C(2)+J−p) = 3e18+3e18 = 6e18. The
+// former ceiling (d+e−1)/e wrapped negative here: with two-division demand
+// terms the busy period overflowed to inf, and with exact terms M wrapped
+// to −1, skipping every instance and reporting 0 as schedulable.
+func TestSADSHugePeriodChain(t *testing.T) {
+	b := model.NewBuilder()
+	p := b.AddProcessor("P")
+	q := b.AddProcessor("Q")
+	b.AddTask("T", 1<<62, 0).Subtask(p, 3e18, 1).Subtask(q, 3e18, 1).Done()
+	s := b.MustBuild()
+	const want = model.Duration(6e18)
+	for _, warm := range []bool{false, true} {
+		opts := defaultTestOpts()
+		opts.WarmStart = warm
+		ds, err := AnalyzeDS(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hol, err := AnalyzeDSHolistic(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.TaskEER[0] != want || hol.TaskEER[0] != want {
+			t.Errorf("warm=%v: EER SA/DS %v, holistic %v, want %v for both",
+				warm, ds.TaskEER[0], hol.TaskEER[0], want)
+		}
+		if ds.Schedulable(s, 0) {
+			t.Errorf("warm=%v: EER %v > deadline %v reported schedulable", warm, ds.TaskEER[0], s.Tasks[0].Deadline)
+		}
+	}
+}
+
 func TestSADSRejectsInvalidSystem(t *testing.T) {
 	s := model.Example2()
 	s.Tasks[0].Subtasks[0].Exec = 0

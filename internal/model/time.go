@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is an instant on the simulated timeline, in ticks.
@@ -76,22 +77,24 @@ func (d Duration) AddSat(e Duration) Duration {
 	return Duration(s)
 }
 
-// MulSat returns d * k with saturation at Infinite. k must be non-negative.
+// MulSat returns d * k with saturation at Infinite. d and k must be
+// non-negative. The overflow test reads the high word of the 128-bit
+// product instead of dividing.
 func (d Duration) MulSat(k int64) Duration {
 	if d.IsInfinite() {
 		return Infinite
 	}
-	if k == 0 || d == 0 {
-		return 0
-	}
-	if int64(d) > math.MaxInt64/k {
+	hi, lo := bits.Mul64(uint64(d), uint64(k))
+	if hi != 0 || lo > math.MaxInt64 {
 		return Infinite
 	}
-	return Duration(int64(d) * k)
+	return Duration(lo)
 }
 
-// CeilDiv returns ceil(d / e) for positive e. It is the workhorse of the
-// busy-period analyses, which repeatedly evaluate ceil(t/p)·e terms.
+// CeilDiv returns ceil(d / e) for positive e (0 for d <= 0). It is the
+// workhorse of the busy-period analyses, which repeatedly evaluate
+// ceil(t/p)·e terms. The 1 + (d−1)/e form cannot overflow; (d+e−1)/e
+// would wrap negative once d > MaxInt64−e+1.
 func CeilDiv(d, e Duration) int64 {
 	if e <= 0 {
 		panic("model: CeilDiv divisor must be positive")
@@ -99,7 +102,7 @@ func CeilDiv(d, e Duration) int64 {
 	if d <= 0 {
 		return 0
 	}
-	return (int64(d) + int64(e) - 1) / int64(e)
+	return 1 + (int64(d)-1)/int64(e)
 }
 
 // MaxDuration returns the larger of a and b.

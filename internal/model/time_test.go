@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -44,20 +45,57 @@ func TestCeilDivPanicsOnNonPositiveDivisor(t *testing.T) {
 }
 
 func TestCeilDivProperty(t *testing.T) {
-	// ceil(d/e) is the least k with k*e >= d, for d >= 0, e > 0.
-	f := func(d int64, e int64) bool {
-		if d < 0 {
-			d = -d
-		}
-		d %= 1 << 30
-		e = e%1000 + 1
-		if e <= 0 {
-			e += 1000
+	// ceil(d/e) is the least k with k*e >= d, for d >= 0, e > 0 — over the
+	// full non-negative int64 range, checked in exact big-integer
+	// arithmetic so products past MaxInt64 cannot wrap the check itself.
+	// The shifts spread both operands over every magnitude.
+	f := func(d, e int64, sd, se uint8) bool {
+		d = (d & math.MaxInt64) >> (sd % 63)
+		e = (e & math.MaxInt64) >> (se % 63)
+		if e == 0 {
+			e = 1
 		}
 		k := CeilDiv(Duration(d), Duration(e))
-		return k*e >= d && (k-1)*e < d || (d == 0 && k == 0)
+		bd, be := big.NewInt(d), big.NewInt(e)
+		hi := new(big.Int).Mul(big.NewInt(k), be)
+		lo := new(big.Int).Mul(big.NewInt(k-1), be)
+		return k >= 0 && hi.Cmp(bd) >= 0 && (d == 0 && k == 0 || lo.Cmp(bd) < 0)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// The edges where (d+e-1)/e used to wrap negative.
+	for _, c := range []struct{ d, e, want int64 }{
+		{math.MaxInt64, 1, math.MaxInt64},
+		{math.MaxInt64, 2, 1 << 62},
+		{math.MaxInt64, math.MaxInt64, 1},
+		{math.MaxInt64 - 1, math.MaxInt64, 1},
+		{9_000_000_000_000_000_000, 1 << 62, 2},
+	} {
+		if got := CeilDiv(Duration(c.d), Duration(c.e)); got != c.want {
+			t.Errorf("CeilDiv(%d, %d) = %d, want %d", c.d, c.e, got, c.want)
+		}
+	}
+}
+
+func TestMulSatProperty(t *testing.T) {
+	// MulSat is the exact product when it lies below MaxInt64 and
+	// Infinite otherwise, over the full non-negative range.
+	maxDur := big.NewInt(math.MaxInt64)
+	f := func(d, k int64, sd, sk uint8) bool {
+		d = (d & math.MaxInt64) >> (sd % 63)
+		k = (k & math.MaxInt64) >> (sk % 63)
+		if d == math.MaxInt64 {
+			return Duration(d).MulSat(k) == Infinite
+		}
+		p := new(big.Int).Mul(big.NewInt(d), big.NewInt(k))
+		got := Duration(d).MulSat(k)
+		if p.Cmp(maxDur) >= 0 {
+			return got == Infinite
+		}
+		return int64(got) == p.Int64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -8,7 +8,8 @@
 //	    -pkg ./internal/analysis -bench BenchmarkAnalyze -benchtime 10x
 //
 // -pkg takes a comma-separated package list; results merge into one "after"
-// map. Benchmarks reporting a custom ns/event metric keep it as "ns_event".
+// map. Benchmarks reporting a custom ns/event or ns/term metric keep it as
+// "ns_event" or "ns_term".
 //
 // A baseline that names a benchmark the run no longer produces fails the
 // command loudly: a renamed or deleted benchmark must be renamed in its
@@ -18,7 +19,7 @@
 //
 // -max-regress and -max-regress-allocs turn -check into a regression gate:
 // each fresh measurement is compared against the committed "after" baseline
-// and the command fails if ns/op or ns/event regresses by more than
+// and the command fails if ns/op, ns/event or ns/term regresses by more than
 // -max-regress percent, or allocs/op by more than -max-regress-allocs
 // percent (plus an absolute slack of 2 allocs, so tiny baselines don't trip
 // on noise). Thresholded runs only make sense at the same -benchtime the
@@ -41,15 +42,17 @@ import (
 )
 
 // benchLine matches `go test -benchmem` output, with or without a custom
-// ns/event metric between ns/op and B/op, e.g.
+// ns/event or ns/term metric between ns/op and B/op, e.g.
 //
 //	BenchmarkAnalyzeDS-8   10   9264590 ns/op   125884 B/op   77 allocs/op
 //	BenchmarkEngineEvents  10   1056770 ns/op   171.3 ns/event   13448 B/op   36 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+(?:\.\d+)?) ns/event)?\s+(\d+) B/op\s+(\d+) allocs/op`)
+//	BenchmarkDemand-8      10     51680 ns/op   4.305 ns/term   0 B/op   0 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+(?:\.\d+)?) ns/(event|term))?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 type measurement struct {
 	NsOp     float64 `json:"ns_op"`
 	NsEvent  float64 `json:"ns_event,omitempty"`
+	NsTerm   float64 `json:"ns_term,omitempty"`
 	BOp      int64   `json:"B_op"`
 	AllocsOp int64   `json:"allocs_op"`
 }
@@ -69,7 +72,7 @@ func main() {
 		benchtime  = flag.String("benchtime", "10x", "go test -benchtime value")
 		check      = flag.Bool("check", false, "verify baseline benchmarks still exist; do not rewrite -out")
 		maxRegress = flag.Float64("max-regress", 0,
-			"fail if ns/op or ns/event regresses more than this percent vs the committed after baseline (0 disables; run at the baseline's -benchtime)")
+			"fail if ns/op, ns/event or ns/term regresses more than this percent vs the committed after baseline (0 disables; run at the baseline's -benchtime)")
 		maxRegressAllocs = flag.Float64("max-regress-allocs", 0,
 			"fail if allocs/op regresses more than this percent plus 2 allocs absolute slack vs the committed after baseline (0 disables)")
 		update = flag.Bool("update", false,
@@ -186,13 +189,14 @@ func findRegressions(base, after map[string]measurement, pct, apct float64) []st
 	var regressions []string
 	for _, name := range names {
 		b, n := base[name], after[name]
-		if pct > 0 && b.NsOp > 0 && n.NsOp > b.NsOp*(1+pct/100) {
-			regressions = append(regressions, fmt.Sprintf("%s: ns/op %.0f -> %.0f (+%.1f%%, limit %g%%)",
-				name, b.NsOp, n.NsOp, 100*(n.NsOp/b.NsOp-1), pct))
-		}
-		if pct > 0 && b.NsEvent > 0 && n.NsEvent > b.NsEvent*(1+pct/100) {
-			regressions = append(regressions, fmt.Sprintf("%s: ns/event %.1f -> %.1f (+%.1f%%, limit %g%%)",
-				name, b.NsEvent, n.NsEvent, 100*(n.NsEvent/b.NsEvent-1), pct))
+		for _, t := range []struct {
+			unit     string
+			old, new float64
+		}{{"ns/op", b.NsOp, n.NsOp}, {"ns/event", b.NsEvent, n.NsEvent}, {"ns/term", b.NsTerm, n.NsTerm}} {
+			if pct > 0 && t.old > 0 && t.new > t.old*(1+pct/100) {
+				regressions = append(regressions, fmt.Sprintf("%s: %s %.1f -> %.1f (+%.1f%%, limit %g%%)",
+					name, t.unit, t.old, t.new, 100*(t.new/t.old-1), pct))
+			}
 		}
 		if apct > 0 && float64(n.AllocsOp) > float64(b.AllocsOp)*(1+apct/100)+allocSlack {
 			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %d -> %d (limit %g%% + %d)",
@@ -209,10 +213,16 @@ func parse(out string, res map[string]measurement) {
 		if i == len(out) || out[i] == '\n' {
 			if m := benchLine.FindStringSubmatch(out[start:i]); m != nil {
 				ns, _ := strconv.ParseFloat(m[2], 64)
-				nsev, _ := strconv.ParseFloat(m[3], 64)
-				b, _ := strconv.ParseInt(m[4], 10, 64)
-				a, _ := strconv.ParseInt(m[5], 10, 64)
-				res[m[1]] = measurement{NsOp: ns, NsEvent: nsev, BOp: b, AllocsOp: a}
+				custom, _ := strconv.ParseFloat(m[3], 64)
+				b, _ := strconv.ParseInt(m[5], 10, 64)
+				a, _ := strconv.ParseInt(m[6], 10, 64)
+				meas := measurement{NsOp: ns, BOp: b, AllocsOp: a}
+				if m[4] == "term" {
+					meas.NsTerm = custom
+				} else {
+					meas.NsEvent = custom
+				}
+				res[m[1]] = meas
 			}
 			start = i + 1
 		}
