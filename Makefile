@@ -98,16 +98,18 @@ bench-regress:
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x
 
 # Differential-fuzz the equivalence claims for 30s each — the timing wheel
-# against the reference heap, the locking arbiters, the batched interleaved
-# pass against sequential runs, and the analyzer's single-division demand
-# kernel and shortcut per-instance loop against the reference kernel. What
-# CI's fuzz smoke runs; crank -fuzztime locally for a deeper soak.
+# against the reference heap, the locking arbiters, the analyzer's
+# single-division demand kernel and shortcut per-instance loop against the
+# reference kernel, and rtsyncd's delta path (cache, incremental) against a
+# fresh full analysis, with hostile deltas that must be rejected, not
+# panic. What CI's fuzz smoke runs; crank -fuzztime locally for a deeper
+# soak.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzQueueEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzLockingEquivalence -fuzztime 30s ./internal/sim
-	$(GO) test -run NONE -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzDemandExact -fuzztime 30s ./internal/analysis
 	$(GO) test -run NONE -fuzz FuzzAnalyzeExact -fuzztime 30s ./internal/analysis
+	$(GO) test -run NONE -fuzz FuzzApplyDelta -fuzztime 30s ./internal/admission
 
 cover:
 	$(GO) test -cover ./...
@@ -140,7 +142,7 @@ verify-results:
 	sh tools/verify-results.sh
 
 # Smoke the observability layer: -trace-pipeline must not perturb results
-# (stdout + JSONL byte-identical across GOMAXPROCS and -batch), emitted
+# (stdout + JSONL byte-identical across GOMAXPROCS), emitted
 # traces must be valid nesting Chrome trace-event JSON, and /metrics must
 # speak Prometheus exposition format. What CI runs.
 trace-smoke:

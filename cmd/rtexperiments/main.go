@@ -14,12 +14,6 @@
 // for any of them runs the same study. CSV export: -csv prefix writes
 // <prefix>-figNN.csv files.
 //
-// Batch-capable studies (the Figures 14–16 simulation sweep) can interleave
-// -batch sweep units through one shared-arena engine pass per worker;
-// figure output and record stores are byte-identical at any -batch value,
-// so the flag only trades throughput (-batch auto currently keeps the
-// sequential path — see DESIGN.md §4h for the measured trade-off).
-//
 // -warm-start seeds every fixed-point solve from a sound analytic lower
 // bound: figure output and record stores are byte-identical either way
 // (tools/verify-results.sh proves it), only iteration counts drop — visible
@@ -54,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -97,7 +90,6 @@ func run(args []string, w io.Writer) error {
 	var (
 		figure   = fs.String("figure", "all", strings.Join(experiments.FigureNames(), ", ")+", or all")
 		systems  = fs.Int("systems", 50, "systems per configuration (paper: 1000)")
-		batchStr = fs.String("batch", "auto", "sweep units interleaved per engine pass for batch-capable studies (auto = 1: measured neutral-to-slower on the paper's sparse workloads; results are identical at any value)")
 		seed     = fs.Int64("seed", 1, "sweep seed")
 		warm     = fs.Bool("warm-start", false, "seed fixed-point solves from sound lower bounds (identical figures, fewer iterations)")
 		hp       = fs.Int64("horizon-periods", 20, "simulation horizon in multiples of the max period")
@@ -195,20 +187,6 @@ func run(args []string, w io.Writer) error {
 	}
 	perConfig := *systems * *trials
 
-	// auto resolves to 1: on the paper's sparse workloads the interleaved
-	// pass measures neutral-to-slower (per-lane scheduler state dilutes the
-	// cache faster than shared-queue amortization recoups — see DESIGN.md
-	// §4h), so the conservative default keeps the sequential path. The flag
-	// stays for denser workloads and A/B measurement; output is identical.
-	batch := 1
-	if *batchStr != "auto" {
-		b, err := strconv.Atoi(*batchStr)
-		if err != nil || b < 1 {
-			return fmt.Errorf("-batch %q: want a positive integer or \"auto\"", *batchStr)
-		}
-		batch = b
-	}
-
 	jfracs, err := gridflag.Floats(*jitterStr)
 	if err != nil {
 		return fmt.Errorf("-jitter-fraction: %w", err)
@@ -236,7 +214,6 @@ func run(args []string, w io.Writer) error {
 		Analysis:         aopts,
 		RecordTimings:    *recTimings,
 		RecordSimCounts:  *recStats,
-		Batch:            batch,
 	}
 	// Telemetry rides outside the ordered-commit turnstile, so enabling any
 	// of this changes no figure output. A plain run leaves these fields nil

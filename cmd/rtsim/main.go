@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"strconv"
 
 	"rtsync/internal/analysis"
 	"rtsync/internal/gantt"
@@ -46,7 +45,6 @@ func run(args []string, w io.Writer) error {
 		validate  = fs.Bool("validate", true, "check trace invariants after the run")
 		traceOut  = fs.String("trace-out", "", "save the full execution trace as JSON (inspect with rttrace)")
 		locking   = fs.String("locking", "hl", "locking protocol for global resources: hl, mpcp, or dpcp")
-		batch     = fs.Bool("batch", false, "with -protocol all: interleave every protocol through one batched engine pass (output is identical)")
 		tracePipe = fs.String("trace-pipeline", "", "write a Chrome trace-event JSON trace of the run's stages (load/analyze/run/report/validate) to this file; open in ui.perfetto.dev")
 	)
 	cli := obs.Register(fs)
@@ -137,7 +135,7 @@ func run(args []string, w io.Writer) error {
 		h = model.Time(int64(sys.MaxPeriod()) * 20)
 	}
 	if *protoName == "all" {
-		if err := runComparison(w, sys, h, kind, stats, *batch, tracer); err != nil {
+		if err := runComparison(w, sys, h, kind, stats, tracer); err != nil {
 			return err
 		}
 		return writeTrace()
@@ -225,27 +223,12 @@ func run(args []string, w io.Writer) error {
 
 // runComparison simulates every runnable protocol over the same system and
 // prints a side-by-side summary (avg, p95 and max EER, jitter, misses).
-// stats, when non-nil, aggregates engine counters over all the runs.
-//
-// With batch set, all protocols share one interleaved BatchRunner pass over
-// one wheel arena — the batch engine's best case, since every lane releases
-// at the same instants. The table is identical either way; -cpuprofile
-// samples are labeled protocol=<name> sequentially and batch=<K> batched.
-func runComparison(w io.Writer, sys *model.System, h model.Time, kind sim.LockingKind, stats *obs.SimStats, batch bool, tracer *obs.PipelineTracer) error {
+// stats, when non-nil, aggregates engine counters over all the runs;
+// -cpuprofile samples are labeled protocol=<name>.
+func runComparison(w io.Writer, sys *model.System, h model.Time, kind sim.LockingKind, stats *obs.SimStats, tracer *obs.PipelineTracer) error {
 	names := []string{"ds", "rg", "rg1", "pm", "mpm"}
 	t := report.NewTable(fmt.Sprintf("protocol comparison (horizon %v)", h),
 		"protocol", "task", "avg EER", "p95 EER", "max EER", "max jitter", "misses")
-	addRows := func(protocol sim.Protocol, m *sim.Metrics) {
-		for i := range sys.Tasks {
-			tm := &m.Tasks[i]
-			p95 := "-"
-			if v, ok := tm.EERPercentile(95); ok {
-				p95 = fmt.Sprintf("%.0f", v)
-			}
-			t.AddRowf(protocol.Name(), sys.Tasks[i].Name, tm.AvgEER(), p95,
-				tm.MaxEER.String(), tm.MaxOutputJitter.String(), tm.DeadlineMisses)
-		}
-	}
 	var protocols []sim.Protocol
 	for _, name := range names {
 		protocol, err := buildProtocol(name, sys)
@@ -255,8 +238,8 @@ func runComparison(w io.Writer, sys *model.System, h model.Time, kind sim.Lockin
 		}
 		protocols = append(protocols, protocol)
 	}
-	// One label per runnable protocol, so each lane's run span names its
-	// protocol in the trace.
+	// One label per runnable protocol, so each run span names its protocol
+	// in the trace.
 	var spans *obs.SpanArena
 	var labelBase int32
 	if tracer != nil {
@@ -267,47 +250,29 @@ func runComparison(w io.Writer, sys *model.System, h model.Time, kind sim.Lockin
 		}
 		labelBase = tracer.RegisterLabels(pnames)
 	}
-	cfg := func(p sim.Protocol) sim.Config {
-		return sim.Config{Protocol: p, Horizon: h, CollectSamples: true, Locking: kind, Stats: stats}
-	}
-	if batch {
-		var b sim.BatchRunner
-		if spans != nil {
-			b.Spans = spans
-			b.SpanLabel = -1
-		}
-		b.Reset(sim.QueueWheel)
-		for _, p := range protocols {
-			if _, err := b.Add(sys, cfg(p)); err != nil {
-				return err
-			}
-		}
-		var runErr error
-		pprof.Do(context.Background(), pprof.Labels("batch", strconv.Itoa(b.Len())), func(context.Context) {
-			runErr = b.Run()
-		})
-		if runErr != nil {
-			return runErr
-		}
-		for lane, p := range protocols {
-			addRows(p, b.Outcome(lane).Metrics)
-		}
-		return t.Render(w)
-	}
 	var runner sim.Runner
 	runner.Spans = spans
 	runner.SpanUnit = -1
 	for i, p := range protocols {
 		runner.SpanLabel = labelBase + int32(i)
+		cfg := sim.Config{Protocol: p, Horizon: h, CollectSamples: true, Locking: kind, Stats: stats}
 		var out *sim.Outcome
 		var runErr error
 		pprof.Do(context.Background(), pprof.Labels("protocol", p.Name()), func(context.Context) {
-			out, runErr = runner.Run(sys, cfg(p))
+			out, runErr = runner.Run(sys, cfg)
 		})
 		if runErr != nil {
 			return runErr
 		}
-		addRows(p, out.Metrics)
+		for j := range sys.Tasks {
+			tm := &out.Metrics.Tasks[j]
+			p95 := "-"
+			if v, ok := tm.EERPercentile(95); ok {
+				p95 = fmt.Sprintf("%.0f", v)
+			}
+			t.AddRowf(p.Name(), sys.Tasks[j].Name, tm.AvgEER(), p95,
+				tm.MaxEER.String(), tm.MaxOutputJitter.String(), tm.DeadlineMisses)
+		}
 	}
 	return t.Render(w)
 }

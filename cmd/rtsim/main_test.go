@@ -146,22 +146,6 @@ func TestRunComparisonMode(t *testing.T) {
 	}
 }
 
-// TestRunComparisonBatchIdentical pins -batch: the batched comparison's
-// rendered table is byte-identical to the sequential one.
-func TestRunComparisonBatchIdentical(t *testing.T) {
-	var seq, batched bytes.Buffer
-	if err := run([]string{"-protocol", "all", "-example", "2", "-horizon", "120"}, &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-protocol", "all", "-example", "2", "-horizon", "120", "-batch"}, &batched); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != batched.String() {
-		t.Errorf("batched comparison differs from sequential:\n--- sequential ---\n%s--- batched ---\n%s",
-			seq.String(), batched.String())
-	}
-}
-
 func TestRunComparisonSkipsUnrunnable(t *testing.T) {
 	// Over-utilized system: PM/MPM are skipped, DS/RG still run.
 	b := model.NewBuilder()

@@ -264,21 +264,46 @@ func TestServiceHTTP(t *testing.T) {
 	}
 }
 
+// outOfRangeDeltas returns delta bodies naming processors a workspace of
+// fewer than five processors does not have; the modify body moves the
+// existing task named task onto processor 5. They must be rejected by
+// validation, not crash the dirty-processor bookkeeping that precedes an
+// incremental re-analysis.
+func outOfRangeDeltas(task string) []struct{ name, body string } {
+	return []struct{ name, body string }{
+		{"add on processor 99", `{"add":[{"name":"X","period":100,"deadline":100,"subtasks":[{"proc":99,"exec":1,"priority":1}]}]}`},
+		{"add on processor -1", `{"add":[{"name":"X","period":100,"deadline":100,"subtasks":[{"proc":-1,"exec":1,"priority":1}]}]}`},
+		{"modify onto processor 5", `{"modify":[{"name":"` + task +
+			`","period":4,"deadline":4,"subtasks":[{"proc":5,"exec":2,"priority":2}]}]}`},
+	}
+}
+
 func TestServiceRequestDecoding(t *testing.T) {
 	ws, _ := newTestWorkspace(t, model.Example2(), AlgoSADS)
 	svc := NewService(ws)
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.Bytes()
+	}
+	before := get("/v1/system")
 	oversized := `{"algo": "` + strings.Repeat("x", maxRequestBytes) + `"}`
-	for _, c := range []struct {
+	type request struct {
 		name, path, body string
 		want             int
-	}{
+	}
+	requests := []request{
 		{"empty analyze body", "/v1/analyze", "", http.StatusOK},
 		{"truncated analyze body", "/v1/analyze", "{", http.StatusBadRequest},
 		{"oversized analyze body", "/v1/analyze", oversized, http.StatusRequestEntityTooLarge},
 		{"empty delta body", "/v1/delta", "", http.StatusBadRequest},
 		{"truncated delta body", "/v1/delta", `{"remove": [`, http.StatusBadRequest},
 		{"oversized delta body", "/v1/delta", oversized, http.StatusRequestEntityTooLarge},
-	} {
+	}
+	for _, h := range outOfRangeDeltas("T1") {
+		requests = append(requests, request{h.name, "/v1/delta", h.body, http.StatusBadRequest})
+	}
+	for _, c := range requests {
 		rec := httptest.NewRecorder()
 		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
 		if rec.Code != c.want {
@@ -291,12 +316,15 @@ func TestServiceRequestDecoding(t *testing.T) {
 			}
 		}
 	}
+	if after := get("/v1/system"); !bytes.Equal(before, after) {
+		t.Errorf("rejected requests changed the committed system:\nbefore: %s\nafter:  %s", before, after)
+	}
 }
 
 // clusterSystem merges two independent generated workloads, each on its
 // own pair of processors, with task names prefixed "A/" and "B/". No chain
 // crosses clusters, so a task's bound never depends on the other cluster.
-func clusterSystem(t *testing.T) *model.System {
+func clusterSystem(t testing.TB) *model.System {
 	t.Helper()
 	merged := &model.System{}
 	for c, prefix := range []string{"A/", "B/"} {
@@ -426,4 +454,165 @@ func TestServiceConcurrentClients(t *testing.T) {
 				prefix, got[c], want[c])
 		}
 	}
+}
+
+// fuzzDeltaSeeds is FuzzApplyDelta's seed corpus over clusterSystem: the
+// out-of-range bodies; a valid delta that modifies one task twice, first
+// onto a missing processor (only the last shape is validated, so the
+// first must never reach the dirty-processor bookkeeping); and the
+// add/modify/remove/commit shapes the tests above drive, under every
+// algorithm.
+func fuzzDeltaSeeds(t testing.TB, sys *model.System) [][]byte {
+	var seeds [][]byte
+	for _, h := range outOfRangeDeltas(sys.Tasks[0].Name) {
+		seeds = append(seeds, []byte(h.body))
+	}
+	twice := sys.Tasks[0]
+	offSystem := twice
+	offSystem.Subtasks = []model.Subtask{{Proc: 5, Exec: 1, Priority: 1}}
+	last := sys.Tasks[len(sys.Tasks)-1]
+	hog := model.Task{Name: "hog", Period: 100, Deadline: 100,
+		Subtasks: []model.Subtask{{Proc: 0, Exec: 99, Priority: 1}}}
+	deltas := append(clientScript(sys, "A/"),
+		Delta{Modify: []model.Task{offSystem, twice}},
+		Delta{Remove: []string{last.Name}, Add: []model.Task{last}, Commit: true},
+		Delta{Add: []model.Task{hog}, Commit: true},
+		Delta{Remove: []string{"no-such-task"}},
+		Delta{Add: []model.Task{{Name: "bad", Period: -1, Deadline: 10,
+			Subtasks: []model.Subtask{{Proc: 0, Exec: 1}}}}},
+		Delta{Algo: AlgoMPCP},
+		Delta{Algo: AlgoDPCP, Commit: true},
+	)
+	for _, d := range deltas {
+		body, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, body)
+	}
+	return seeds
+}
+
+// fuzzable bounds a decoded delta so one fuzz execution stays in the
+// milliseconds: a few tasks of a few subtasks, with times no larger than
+// clusterSystem's own. Out-of-range processors, negative or zero times and
+// unknown names all stay in play.
+func fuzzable(d Delta) bool {
+	tasks := append(append([]model.Task(nil), d.Add...), d.Modify...)
+	if len(tasks) > 4 || len(d.Remove) > 8 {
+		return false
+	}
+	const maxTime = 1 << 24
+	for _, task := range tasks {
+		if len(task.Subtasks) > 4 || task.Period > maxTime || task.Deadline > maxTime || task.Phase > maxTime {
+			return false
+		}
+		for _, st := range task.Subtasks {
+			if st.Exec > maxTime || len(st.Segments) > 4 || len(st.Locks) > 4 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// referenceVerdict is what rtanalyze reports for sys under algo: a cold,
+// full analysis through the package-level entry point.
+func referenceVerdict(t *testing.T, sys *model.System, algo string) *Verdict {
+	t.Helper()
+	opts := analysis.DefaultOptions()
+	var res *analysis.Result
+	var err error
+	switch algo {
+	case AlgoSAPM:
+		res, err = analysis.AnalyzePM(sys, opts)
+	case AlgoSADS:
+		res, err = analysis.AnalyzeDS(sys, opts)
+	case AlgoHolistic:
+		res, err = analysis.AnalyzeDSHolistic(sys, opts)
+	case AlgoMPCP:
+		res, err = analysis.AnalyzeMPCP(sys, opts)
+	case AlgoDPCP:
+		res, err = analysis.AnalyzeDPCP(sys, opts)
+	default:
+		t.Fatalf("unknown algo %q", algo)
+	}
+	if err != nil {
+		t.Fatalf("reference %s analysis of an accepted delta failed: %v", algo, err)
+	}
+	var w Workspace
+	return w.verdict(sys, res, "full")
+}
+
+// FuzzApplyDelta drives Workspace.ApplyDelta with arbitrary delta bodies
+// against a fresh two-cluster workspace. No body may panic. A rejected
+// delta must leave the committed system byte-identical. An accepted
+// delta's verdict — served by the incremental or full path, and again from
+// the cache when the delta is committed a second time — must equal a
+// fresh full analysis of the changed system under the same algorithm,
+// task by task and bound by bound.
+func FuzzApplyDelta(f *testing.F) {
+	sys := clusterSystem(f)
+	for _, body := range fuzzDeltaSeeds(f, sys) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var d Delta
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&d) != nil || !fuzzable(d) {
+			return
+		}
+		ws, err := NewWorkspace(sys, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed := func() string {
+			var buf bytes.Buffer
+			if err := ws.System().WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		before := committed()
+		v, err := ws.ApplyDelta(d)
+		if err != nil {
+			if committed() != before {
+				t.Fatalf("rejected delta (%v) changed the committed system", err)
+			}
+			return
+		}
+		if want := d.Commit && (v.Schedulable || d.Force); v.Committed != want {
+			t.Fatalf("committed = %v, want %v (commit=%v force=%v schedulable=%v)",
+				v.Committed, want, d.Commit, d.Force, v.Schedulable)
+		}
+		if !v.Committed {
+			if committed() != before {
+				t.Fatal("uncommitted delta changed the committed system")
+			}
+			// Adopt the change to read the changed system back; its
+			// digest is cached now, so this answer comes from the cache.
+			forced := d
+			forced.Commit, forced.Force = true, true
+			again, err := ws.ApplyDelta(forced)
+			if err != nil {
+				t.Fatalf("accepted delta rejected when forced: %v", err)
+			}
+			if again.Path != "cache" || !again.Committed {
+				t.Fatalf("forced commit: path %q committed %v, want a cached commit", again.Path, again.Committed)
+			}
+			if !reflect.DeepEqual(again.Tasks, v.Tasks) {
+				t.Fatalf("cached verdict differs from the first answer\ncache: %+v\nfirst: %+v", again.Tasks, v.Tasks)
+			}
+		}
+		algo := d.Algo
+		if algo == "" {
+			algo = AlgoSADS
+		}
+		want := referenceVerdict(t, ws.System(), algo)
+		if v.Algo != want.Algo || v.Schedulable != want.Schedulable || !reflect.DeepEqual(v.Tasks, want.Tasks) {
+			t.Fatalf("%s path verdict differs from a full %s analysis\ngot:  %+v\nwant: %+v",
+				v.Path, algo, v, want)
+		}
+	})
 }

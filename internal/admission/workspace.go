@@ -237,7 +237,11 @@ func (w *Workspace) ApplyDelta(d Delta) (*Verdict, error) {
 
 // applyTasks builds the changed system and records the touched processors
 // in w.dirty: every processor hosting a subtask of a removed, modified
-// (old or new shape) or added task.
+// (old or new shape) or added task. Removed tasks and old shapes come from
+// the committed system, which is valid; the new shapes are marked only
+// after the changed system validates, since a delta may name processors
+// the system does not have. A task modified twice keeps only its last new
+// shape, so its old shape is the one marked on its first modification.
 func (w *Workspace) applyTasks(d Delta) (*model.System, error) {
 	for i := range w.dirty {
 		w.dirty[i] = false
@@ -261,14 +265,17 @@ func (w *Workspace) applyTasks(d Delta) (*model.System, error) {
 		next.Tasks = append(next.Tasks[:i], next.Tasks[i+1:]...)
 		byName = index()
 	}
+	modified := make(map[string]bool, len(d.Modify))
 	for _, t := range d.Modify {
 		i, ok := byName[t.Name]
 		if !ok {
 			return nil, fmt.Errorf("modify %q: no such task", t.Name)
 		}
-		analysis.DirtyProcs(w.dirty, next, i)
+		if !modified[t.Name] {
+			modified[t.Name] = true
+			analysis.DirtyProcs(w.dirty, next, i)
+		}
 		next.Tasks[i] = t
-		analysis.DirtyProcs(w.dirty, next, i)
 	}
 	for _, t := range d.Add {
 		if _, ok := byName[t.Name]; ok {
@@ -279,10 +286,15 @@ func (w *Workspace) applyTasks(d Delta) (*model.System, error) {
 		}
 		next.Tasks = append(next.Tasks, t)
 		byName[t.Name] = len(next.Tasks) - 1
-		analysis.DirtyProcs(w.dirty, next, len(next.Tasks)-1)
 	}
 	if err := next.Validate(); err != nil {
 		return nil, err
+	}
+	for _, t := range d.Modify {
+		analysis.DirtyProcs(w.dirty, next, byName[t.Name])
+	}
+	for i := len(next.Tasks) - len(d.Add); i < len(next.Tasks); i++ {
+		analysis.DirtyProcs(w.dirty, next, i)
 	}
 	return next, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rtsync/internal/model"
-	"rtsync/internal/obs"
 	"rtsync/internal/record"
 	"rtsync/internal/report"
 	"rtsync/internal/sim"
@@ -63,7 +62,7 @@ func AvgEERStudy(p Params) (*AvgEERResult, error) {
 func runAvgEER(p Params, res *AvgEERResult) error {
 	p = p.withDefaults()
 	var firstErr error
-	unitFn := func(w *worker, cfg workload.Config, rec *Recorder) {
+	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
 		sc, ok := w.scratch.(*avgeerScratch)
 		if !ok {
 			sc = &avgeerScratch{
@@ -90,7 +89,8 @@ func runAvgEER(p Params, res *AvgEERResult) error {
 		if !fillPMBounds(sc.bounds, w.an.AnalyzePM()) {
 			w.lap(phaseAnalyze)
 			w.noteSchedulable(false)
-			fillAvgEERSkip(&w.rec)
+			w.rec.AddVerdict("pm", false)
+			w.rec.AddTally("skipped", 1)
 			commitRecord(&p, w, rec, res, &firstErr)
 			return
 		}
@@ -121,24 +121,15 @@ func runAvgEER(p Params, res *AvgEERResult) error {
 
 		fillAvgEERObs(&w.rec, sys, &sc.ds, &sc.pm, &sc.rg, &sc.rg1)
 		commitRecord(&p, w, rec, res, &firstErr)
-	}
-	sweepSpans(p, unitFn, avgEERBatchFn(&p, res, &firstErr))
+	})
 	if firstErr != nil {
 		return fmt.Errorf("average-EER study: %w", firstErr)
 	}
 	return nil
 }
 
-// fillAvgEERSkip records a PM-unschedulable unit: verdict plus skip tally,
-// the same bytes whether the unit ran sequentially or inside a batch.
-func fillAvgEERSkip(rec *record.CellRecord) {
-	rec.AddVerdict("pm", false)
-	rec.AddTally("skipped", 1)
-}
-
-// fillAvgEERObs records a simulated unit's observations. The sequential
-// and batched paths both emit through here, which is what makes the record
-// store byte-identical at any Params.Batch.
+// fillAvgEERObs records a simulated unit's observations: the PM verdict,
+// the per-task ratio and jitter series, and the raw average EERs.
 func fillAvgEERObs(rec *record.CellRecord, sys *model.System, ds, pm, rg, rg1 *sim.Metrics) {
 	rec.AddVerdict("pm", true)
 	for i := range sys.Tasks {
@@ -158,138 +149,6 @@ func fillAvgEERObs(rec *record.CellRecord, sys *model.System, ds, pm, rg, rg1 *s
 		addEERObs(rec, "eer_ds", ds, i)
 		addEERObs(rec, "eer_pm", pm, i)
 		addEERObs(rec, "eer_rg", rg, i)
-	}
-}
-
-// avgeerBatch is the study's batched per-worker scratch: one BatchRunner
-// whose shared wheel arena carries the whole span, plus per-unit lane
-// state. Both are retained across the worker's spans, so the steady state
-// allocates nothing per system.
-type avgeerBatch struct {
-	batch sim.BatchRunner
-	lanes []*avgeerUnitLanes
-}
-
-// avgeerUnitLanes is one sweep unit's retained state inside a batched
-// span: its own Generator (each unit's System must stay live until the
-// pass commits, so units cannot share the worker's), bounds map, and
-// protocol instances, plus the staging results — the unit's first lane
-// index in the batch, or its skip/error disposition.
-type avgeerUnitLanes struct {
-	gen    workload.Generator
-	bounds sim.Bounds
-	dsP    *sim.DS
-	pmP    *sim.PM
-	rgP    *sim.RG
-	rg1P   *sim.RG
-
-	sys   *model.System
-	lane0 int
-	skip  bool
-	err   error
-}
-
-// avgEERBatchFn returns the study's batched span handler: generate and
-// analyze every unit in order, stage four protocol lanes per viable unit
-// (DS, PM, RG, RG rule 1 only) into one BatchRunner, run the single
-// interleaved pass, then commit per unit in global order through the same
-// record-fill helpers as the sequential path.
-func avgEERBatchFn(p *Params, res *AvgEERResult, firstErr *error) batchFn {
-	return func(w *worker, units []unit, rec *Recorder) {
-		sc, ok := w.scratch.(*avgeerBatch)
-		if !ok {
-			sc = &avgeerBatch{}
-			w.scratch = sc
-		}
-		for len(sc.lanes) < len(units) {
-			sc.lanes = append(sc.lanes, &avgeerUnitLanes{
-				bounds: make(sim.Bounds),
-				dsP:    sim.NewDS(),
-				pmP:    sim.NewPM(nil),
-				rgP:    sim.NewRG(),
-				rg1P:   sim.NewRGRule1Only(),
-			})
-		}
-		sc.batch.Stats = w.sim.Stats
-		sc.batch.Spans = w.spans
-		sc.batch.SpanLabel = w.curCell
-		sc.batch.Reset(sim.QueueWheel)
-		// Phase 1: generate and analyze each unit — the per-unit draw
-		// order is identical to the sequential path — and stage lanes.
-		for i, u := range units {
-			ln := sc.lanes[i]
-			ln.err, ln.skip, ln.sys = nil, false, nil
-			var t0 int64
-			if w.spans != nil {
-				t0 = w.spans.Clock()
-			}
-			sys, err := ln.gen.Generate(u.cfg)
-			if w.spans != nil {
-				now := w.spans.Clock()
-				w.spans.Record(obs.SpanGenerate, t0, now, w.curCell, u.g)
-				t0 = now
-			}
-			if err != nil {
-				ln.err = err
-				continue
-			}
-			ln.sys = sys
-			if err := w.an.Reset(sys, p.Analysis); err != nil {
-				ln.err = err
-				continue
-			}
-			viable := fillPMBounds(ln.bounds, w.an.AnalyzePM())
-			if w.spans != nil {
-				w.spans.Record(obs.SpanAnalyze, t0, w.spans.Clock(), w.curCell, u.g)
-			}
-			if !viable {
-				ln.skip = true
-				continue
-			}
-			ln.pmP.SetBounds(ln.bounds)
-			horizon := model.Time(int64(sys.MaxPeriod()) * p.HorizonPeriods)
-			ln.lane0 = sc.batch.Len()
-			for _, proto := range [...]sim.Protocol{ln.dsP, ln.pmP, ln.rgP, ln.rg1P} {
-				if _, err := sc.batch.Add(sys, sim.Config{Protocol: proto, Horizon: horizon}); err != nil {
-					ln.err = err
-					break
-				}
-			}
-		}
-		// Phase 2: one interleaved pass over every staged lane.
-		var runErr error
-		if sc.batch.Len() > 0 {
-			runErr = sc.batch.Run()
-		}
-		// Phase 3: commit per unit in global order. A failed pass
-		// invalidates every simulated unit's outcome, so runErr poisons
-		// them all; skipped units never entered the pass and still commit.
-		for i, u := range units {
-			ln := sc.lanes[i]
-			rec.arm(u.g)
-			if ln.err == nil && runErr != nil && !ln.skip {
-				ln.err = runErr
-			}
-			if ln.err != nil {
-				recordErr(rec, firstErr, ln.err)
-				rec.finish()
-				continue
-			}
-			w.beginUnit("avgeer", u.cfg, rec)
-			if ln.skip {
-				w.noteSchedulable(false)
-				fillAvgEERSkip(&w.rec)
-			} else {
-				w.noteSchedulable(true)
-				fillAvgEERObs(&w.rec, ln.sys,
-					sc.batch.Outcome(ln.lane0).Metrics,
-					sc.batch.Outcome(ln.lane0+1).Metrics,
-					sc.batch.Outcome(ln.lane0+2).Metrics,
-					sc.batch.Outcome(ln.lane0+3).Metrics)
-			}
-			commitRecord(p, w, rec, res, firstErr)
-			rec.finish()
-		}
 	}
 }
 

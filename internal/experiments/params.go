@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -81,14 +80,6 @@ type Params struct {
 	// Workers switch to private obs.SimStats banks (merged into Stats at
 	// drain time) so the deltas attribute exactly one unit's work.
 	RecordSimCounts bool
-	// Batch is the number of sweep units a worker interleaves through one
-	// shared-arena engine pass, for studies that support batching (today:
-	// the average-EER study). 0 or 1 disables batching. Results and record
-	// stores are byte-identical at any Batch value; only throughput
-	// changes. RecordTimings and RecordSimCounts force Batch to 1, since
-	// per-unit wall times and counter deltas cannot be attributed inside
-	// an interleaved pass.
-	Batch int
 }
 
 // RecordSink receives committed sweep records. Write is always called from
@@ -114,12 +105,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Analysis == (analysis.Options{}) {
 		p.Analysis = analysis.DefaultOptions()
-	}
-	if p.Batch < 1 {
-		p.Batch = 1
-	}
-	if p.RecordTimings || p.RecordSimCounts {
-		p.Batch = 1
 	}
 	return p
 }
@@ -211,10 +196,6 @@ type worker struct {
 
 	scratch any
 
-	// units is the retained span expansion buffer handed to a study's
-	// batch function: the current span's work items in global unit order.
-	units []unit
-
 	// prog is this worker's private telemetry shard, nil when the sweep
 	// runs without Params.Progress.
 	prog *obs.SweepShard
@@ -265,23 +246,11 @@ func (w *worker) noteSchedulable(ok bool) {
 	}
 }
 
-// unit is one sweep work item: a configuration with the per-system seed
-// installed, its config index (for the pprof label), and its global commit
-// order g = configIdx*SystemsPerConfig + sysIdx.
+// unit is one sweep work item: system k of configuration ci, committed at
+// global order g = ci*SystemsPerConfig + k.
 type unit struct {
-	cfg workload.Config
-	ci  int
-	g   int64
-}
-
-// span is the dispatch granule: n consecutive units of one configuration,
-// starting at system index k0 and global order g. Spans never cross a
-// configuration boundary, so a batched pass always interleaves
-// same-shaped systems (which also maximizes shared-wheel time
-// correlation). With batching off every span holds exactly one unit.
-type span struct {
-	ci, k0, n int
-	g         int64
+	ci, k int
+	g     int64
 }
 
 // gate is an ordered-commit turnstile: enter(g) blocks until every unit
@@ -349,18 +318,6 @@ func (r *Recorder) Begin() {
 	}
 }
 
-// arm re-points the recorder at unit g's turn without claiming it.
-func (r *Recorder) arm(g int64) {
-	r.unit, r.entered = g, false
-}
-
-// finish claims the armed unit's turn (idempotently, so units that already
-// committed or errored pass straight through) and releases it to the next.
-func (r *Recorder) finish() {
-	r.Begin()
-	r.g.leave()
-}
-
 // recordErr claims the unit's commit turn and records the sweep's first
 // error — "first" in deterministic global unit order, not completion order.
 func recordErr(rec *Recorder, firstErr *error, err error) {
@@ -397,42 +354,11 @@ func recordErr(rec *Recorder, firstErr *error, err error) {
 // only worker-private or atomic state: figure output stays byte-identical
 // with telemetry on or off, at any Parallelism.
 func sweep(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)) {
-	sweepSpans(p, fn, nil)
-}
-
-// batchFn is a study's batched span handler: it processes units (all from
-// one configuration, in global unit order) through one interleaved engine
-// pass. The handler owns the turnstile discipline for the whole span — for
-// every unit, in slice order, it must rec.arm(u.g), commit (or record an
-// error) for that unit, then rec.finish(), even when an earlier unit in the
-// span failed. The units slice is the worker's retained buffer, invalid
-// after the handler returns.
-type batchFn func(w *worker, units []unit, rec *Recorder)
-
-// sweepSpans is sweep's engine. Work is dispatched in spans of up to
-// p.Batch consecutive same-configuration units; when the study supplies a
-// batched handler and p.Batch > 1, whole spans go through it, otherwise
-// units run one at a time through fn. Because the turnstile orders commits
-// by global unit order regardless of span shape, figure output and record
-// stores are byte-identical at any (Parallelism, Batch) combination.
-func sweepSpans(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder), bfn batchFn) {
-	batched := bfn != nil && p.Batch > 1
-	chunk := 1
-	if batched {
-		chunk = p.Batch
-	}
 	bg := context.Background()
 	labels := make([]context.Context, len(p.Configs))
 	cellLabels := make([]string, len(p.Configs))
 	for ci, cfg := range p.Configs {
-		if batched {
-			// The extra label splits -cpuprofile samples between batched
-			// and unbatched runs of the same cell.
-			labels[ci] = pprof.WithLabels(bg, pprof.Labels(
-				"cell", cfg.Label(), "batch", strconv.Itoa(p.Batch)))
-		} else {
-			labels[ci] = pprof.WithLabels(bg, pprof.Labels("cell", cfg.Label()))
-		}
+		labels[ci] = pprof.WithLabels(bg, pprof.Labels("cell", cfg.Label()))
 		cellLabels[ci] = cfg.Label()
 	}
 	var run *obs.SweepRun
@@ -443,7 +369,7 @@ func sweepSpans(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)
 	if p.Trace != nil {
 		labelBase = p.Trace.RegisterLabels(cellLabels)
 	}
-	spans := make(chan span)
+	units := make(chan unit)
 	gt := newGate()
 	var wg sync.WaitGroup
 	for i := 0; i < p.Parallelism; i++ {
@@ -475,73 +401,42 @@ func sweepSpans(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)
 				wt0 = w.spans.Clock()
 			}
 			lastCI := -1
-			for sp := range spans {
-				if sp.ci != lastCI {
-					pprof.SetGoroutineLabels(labels[sp.ci])
+			for u := range units {
+				if u.ci != lastCI {
+					pprof.SetGoroutineLabels(labels[u.ci])
 					if p.Progress != nil {
-						p.Progress.SetCurrent(&cellLabels[sp.ci])
+						p.Progress.SetCurrent(&cellLabels[u.ci])
 					}
 					if w.spans != nil {
-						w.curCell = labelBase + int32(sp.ci)
+						w.curCell = labelBase + int32(u.ci)
 						w.sim.SpanLabel = w.curCell
 						rec.label = w.curCell
 					}
-					lastCI = sp.ci
+					lastCI = u.ci
 				}
-				if batched {
-					w.units = w.units[:0]
-					for j := 0; j < sp.n; j++ {
-						c := p.Configs[sp.ci]
-						c.Seed = p.systemSeed(sp.ci, sp.k0+j)
-						w.units = append(w.units, unit{cfg: c, ci: sp.ci, g: sp.g + int64(j)})
-					}
-					var bt0 int64
-					if w.spans != nil {
-						bt0 = w.spans.Clock()
-					}
-					if w.prog != nil {
-						// The pass is indivisible, so each unit is charged
-						// an equal share of the span's wall time.
-						t0 := time.Now()
-						bfn(&w, w.units, &rec)
-						share := time.Since(t0) / time.Duration(sp.n)
-						for j := 0; j < sp.n; j++ {
-							w.prog.UnitDone(sp.ci, share)
-						}
-					} else {
-						bfn(&w, w.units, &rec)
-					}
-					if w.spans != nil {
-						w.spans.RecordBatched(obs.SpanBatchSpan, bt0, w.spans.Clock(),
-							w.curCell, sp.g, int32(sp.n))
-					}
-					continue
+				c := p.Configs[u.ci]
+				c.Seed = p.systemSeed(u.ci, u.k)
+				rec.unit, rec.entered = u.g, false
+				var ut0 int64
+				if w.spans != nil {
+					ut0 = w.spans.Clock()
 				}
-				for j := 0; j < sp.n; j++ {
-					c := p.Configs[sp.ci]
-					c.Seed = p.systemSeed(sp.ci, sp.k0+j)
-					rec.arm(sp.g + int64(j))
-					var ut0 int64
-					if w.spans != nil {
-						ut0 = w.spans.Clock()
-					}
-					if w.prog != nil {
-						// Cell wall time covers fn itself; any turnstile
-						// wait inside fn's own Begin is part of it, but
-						// the fallback Begin in finish is not.
-						t0 := time.Now()
-						fn(&w, c, &rec)
-						w.prog.UnitDone(sp.ci, time.Since(t0))
-					} else {
-						fn(&w, c, &rec)
-					}
-					rec.finish() // take the turn even when fn recorded nothing
-					if w.spans != nil {
-						// The unit span closes after finish, so it covers
-						// the commit turn (and any turnstile wait) too.
-						w.spans.Record(obs.SpanUnit, ut0, w.spans.Clock(),
-							w.curCell, sp.g+int64(j))
-					}
+				if w.prog != nil {
+					// Cell wall time covers fn itself; any turnstile wait
+					// inside fn's own Begin is part of it, but the
+					// fallback Begin below is not.
+					t0 := time.Now()
+					fn(&w, c, &rec)
+					w.prog.UnitDone(u.ci, time.Since(t0))
+				} else {
+					fn(&w, c, &rec)
+				}
+				rec.Begin() // take the turn even when fn recorded nothing
+				gt.leave()
+				if w.spans != nil {
+					// The unit span closes after the turn is released, so
+					// it covers the commit (and any turnstile wait) too.
+					w.spans.Record(obs.SpanUnit, ut0, w.spans.Clock(), w.curCell, u.g)
 				}
 			}
 			if w.spans != nil {
@@ -555,15 +450,11 @@ func sweepSpans(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)
 	}
 	g := int64(0)
 	for ci := range p.Configs {
-		for k := 0; k < p.SystemsPerConfig; k += chunk {
-			n := p.SystemsPerConfig - k
-			if n > chunk {
-				n = chunk
-			}
-			spans <- span{ci: ci, k0: k, n: n, g: g}
-			g += int64(n)
+		for k := 0; k < p.SystemsPerConfig; k++ {
+			units <- unit{ci: ci, k: k, g: g}
+			g++
 		}
 	}
-	close(spans)
+	close(units)
 	wg.Wait()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -132,82 +131,6 @@ func TestSweepJSONLDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepBatchDeterminism extends the turnstile guarantee to the batched
-// engine path: the average-EER study's results AND its JSONL record store
-// are byte-identical across every (Parallelism, Batch) combination,
-// including batch sizes that exceed a configuration's system count.
-func TestSweepBatchDeterminism(t *testing.T) {
-	base := benchSweepParams()
-	base.SystemsPerConfig = 6
-	variants := []struct{ par, batch int }{
-		{1, 1}, // sequential reference
-		{1, 3},
-		{4, 4},
-		{runtime.GOMAXPROCS(0), 8},
-		{2, 16}, // batch larger than SystemsPerConfig: spans clamp per cell
-	}
-
-	var results []*AvgEERResult
-	var stores [][]byte
-	for _, v := range variants {
-		var buf bytes.Buffer
-		wr := record.NewWriter(&buf)
-		st := obs.NewSimStats()
-		p := base
-		p.Parallelism = v.par
-		p.Batch = v.batch
-		p.Records = wr
-		p.Stats = st
-		res, err := AvgEERStudy(p)
-		if err != nil {
-			t.Fatalf("AvgEERStudy(par=%d, batch=%d): %v", v.par, v.batch, err)
-		}
-		if err := wr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		snap := st.Snapshot()
-		if v.batch > 1 {
-			if snap.BatchPasses == 0 {
-				t.Errorf("par=%d batch=%d: no batch passes counted", v.par, v.batch)
-			}
-			// Four protocol lanes per unit, at most batch units per span.
-			if max := int64(4 * v.batch); snap.BatchLaneHighWater > max {
-				t.Errorf("par=%d batch=%d: lane high water %d exceeds %d",
-					v.par, v.batch, snap.BatchLaneHighWater, max)
-			}
-		} else if snap.BatchPasses != 0 {
-			t.Errorf("par=%d batch=%d: unexpected batch passes %d", v.par, v.batch, snap.BatchPasses)
-		}
-		results = append(results, res)
-		stores = append(stores, buf.Bytes())
-	}
-	for i := 1; i < len(variants); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Errorf("results at par=%d batch=%d differ from sequential",
-				variants[i].par, variants[i].batch)
-		}
-		if !bytes.Equal(stores[0], stores[i]) {
-			t.Errorf("JSONL store at par=%d batch=%d differs from sequential",
-				variants[i].par, variants[i].batch)
-		}
-	}
-}
-
-// TestBatchForcedOffByPerUnitRecording pins the withDefaults clamp: phase
-// timings and per-unit counter deltas cannot be attributed inside an
-// interleaved pass, so either recording mode forces Batch back to 1.
-func TestBatchForcedOffByPerUnitRecording(t *testing.T) {
-	if got := (Params{Batch: 8, RecordTimings: true}).withDefaults().Batch; got != 1 {
-		t.Errorf("RecordTimings: Batch = %d, want 1", got)
-	}
-	if got := (Params{Batch: 8, RecordSimCounts: true}).withDefaults().Batch; got != 1 {
-		t.Errorf("RecordSimCounts: Batch = %d, want 1", got)
-	}
-	if got := (Params{Batch: 8}).withDefaults().Batch; got != 8 {
-		t.Errorf("plain: Batch = %d, want 8", got)
-	}
-}
-
 // TestSweepSteadyStateZeroAllocs proves the tentpole: a warm worker's
 // per-system loop — generate, analyze, fill bounds, simulate two
 // protocols, snapshot metrics — allocates nothing per additional system,
@@ -302,46 +225,6 @@ func testSweepZeroAllocs(t *testing.T, st *obs.SimStats, records bool) {
 	}
 }
 
-// TestSweepBatchSteadyStateZeroAllocs extends the zero-alloc property to
-// the batched sweep path: once a worker's batch scratch (lane generators,
-// protocol instances, shared BatchRunner arena) is warm, a whole span —
-// generate + analyze K units, one interleaved 4K-lane pass, K record
-// commits folded into the live view — allocates nothing.
-func TestSweepBatchSteadyStateZeroAllocs(t *testing.T) {
-	p := Params{HorizonPeriods: 5, Batch: 8}.withDefaults()
-	res := NewAvgEERResult()
-	var firstErr error
-	bfn := avgEERBatchFn(&p, res, &firstErr)
-
-	var w worker
-	rec := Recorder{g: newGate()}
-	cfg := workload.DefaultConfig(4, 0.6)
-	seeds := []int64{11, 12, 13, 14, 15, 16, 17, 18}
-	g := int64(0)
-	pass := func() {
-		w.units = w.units[:0]
-		for j, s := range seeds {
-			c := cfg
-			c.Seed = s
-			w.units = append(w.units, unit{cfg: c, ci: 0, g: g + int64(j)})
-		}
-		g += int64(len(seeds))
-		bfn(&w, w.units, &rec)
-	}
-	for i := 0; i < 3; i++ {
-		pass()
-	}
-	if firstErr != nil {
-		t.Fatalf("warm-up span failed: %v", firstErr)
-	}
-	if avg := testing.AllocsPerRun(5, pass); avg != 0 {
-		t.Fatalf("warm batched span allocates %.1f times, want 0", avg)
-	}
-	if firstErr != nil {
-		t.Fatalf("measured span failed: %v", firstErr)
-	}
-}
-
 // BenchmarkSweep measures the whole experiments pipeline per sweep; divide
 // B/op and allocs/op by 16 for the per-swept-system cost tracked in
 // BENCH_experiments.json.
@@ -372,27 +255,10 @@ func BenchmarkSweepJSONL(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepBatch is BenchmarkSweep with batching on: same 16 sweep
-// units, but each worker interleaves 8 of them (32 protocol lanes) through
-// one shared-arena pass. The ns/op delta against BenchmarkSweep is the
-// batching win at Parallelism 1.
-func BenchmarkSweepBatch(b *testing.B) {
-	p := benchSweepParams()
-	p.Batch = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AvgEERStudy(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepParallelScaling crosses worker-pool parallelism with engine
-// batching over a grid big enough to keep every worker fed. Sub-benchmark
-// names use "max" rather than the numeric processor count so trajectories
-// compare across machines; GOMAXPROCS is pinned per sub-benchmark and
-// restored after.
+// BenchmarkSweepParallelScaling measures worker-pool parallelism over a
+// grid big enough to keep every worker fed. Sub-benchmark names use "max"
+// rather than the numeric processor count so trajectories compare across
+// machines; GOMAXPROCS is pinned per sub-benchmark and restored after.
 func BenchmarkSweepParallelScaling(b *testing.B) {
 	gomax := []struct {
 		name string
@@ -403,22 +269,19 @@ func BenchmarkSweepParallelScaling(b *testing.B) {
 		{"gomaxprocs=max", runtime.GOMAXPROCS(0)},
 	}
 	for _, gm := range gomax {
-		for _, batch := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/batch=%d", gm.name, batch), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(gm.n)
-				defer runtime.GOMAXPROCS(prev)
-				p := benchSweepParams()
-				p.SystemsPerConfig = 16 // 32 units: 4 full spans per worker pair
-				p.Parallelism = gm.n
-				p.Batch = batch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := AvgEERStudy(p); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(gm.name, func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(gm.n)
+			defer runtime.GOMAXPROCS(prev)
+			p := benchSweepParams()
+			p.SystemsPerConfig = 16 // 32 units
+			p.Parallelism = gm.n
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := AvgEERStudy(p); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

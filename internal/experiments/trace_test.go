@@ -16,24 +16,21 @@ import (
 // TestSweepPipelineTraceDeterminism pins the tentpole's no-perturbation
 // guarantee for span tracing: attaching a PipelineTracer (with a live
 // counter sampler) leaves the study results AND the JSONL record store
-// byte-identical at every (Parallelism, Batch) combination, because span
-// hooks write only worker-private arenas outside the ordered-commit
-// turnstile. The traced runs must also actually produce a trace: per-unit
+// byte-identical at every Parallelism, because span hooks write only
+// worker-private arenas outside the ordered-commit turnstile. The traced runs must also actually produce a trace: per-unit
 // spans covering the whole sweep and a Perfetto export that parses.
 func TestSweepPipelineTraceDeterminism(t *testing.T) {
 	base := benchSweepParams()
 	base.SystemsPerConfig = 4
 	units := int64(len(base.Configs) * base.SystemsPerConfig)
 	variants := []struct {
-		par, batch int
-		trace      bool
+		par   int
+		trace bool
 	}{
-		{1, 1, false}, // plain sequential reference
-		{1, 1, true},
-		{4, 1, true},
-		{runtime.GOMAXPROCS(0), 1, true},
-		{1, 8, true},
-		{4, 8, true},
+		{1, false}, // plain sequential reference
+		{1, true},
+		{4, true},
+		{runtime.GOMAXPROCS(0), true},
 	}
 
 	var results []*AvgEERResult
@@ -43,7 +40,6 @@ func TestSweepPipelineTraceDeterminism(t *testing.T) {
 		wr := record.NewWriter(&buf)
 		p := base
 		p.Parallelism = v.par
-		p.Batch = v.batch
 		p.Records = wr
 		var tracer *obs.PipelineTracer
 		var stop func()
@@ -55,7 +51,7 @@ func TestSweepPipelineTraceDeterminism(t *testing.T) {
 		}
 		res, err := AvgEERStudy(p)
 		if err != nil {
-			t.Fatalf("AvgEERStudy(par=%d batch=%d trace=%v): %v", v.par, v.batch, v.trace, err)
+			t.Fatalf("AvgEERStudy(par=%d trace=%v): %v", v.par, v.trace, err)
 		}
 		if err := wr.Flush(); err != nil {
 			t.Fatal(err)
@@ -69,64 +65,48 @@ func TestSweepPipelineTraceDeterminism(t *testing.T) {
 		stop()
 		sum := tracer.Summary()
 		if sum.Spans == 0 {
-			t.Fatalf("par=%d batch=%d: tracer recorded no spans", v.par, v.batch)
+			t.Fatalf("par=%d: tracer recorded no spans", v.par)
 		}
 		byPhase := map[string]obs.SpanPhaseSummary{}
 		for _, ph := range sum.Phases {
 			byPhase[ph.Phase] = ph
 		}
-		if v.batch == 1 {
-			// Sequential path: one unit span per swept system, with one
-			// generate/analyze/simulate/commit child each.
-			for _, name := range []string{"unit", "generate", "analyze", "commit", "turnstile-wait"} {
-				if got := byPhase[name].Count; got != units {
-					t.Errorf("par=%d: %d %q spans, want %d", v.par, got, name, units)
-				}
-			}
-			// Only PM-schedulable units reach simulation; the avg-EER study
-			// then runs 4 protocols per simulated unit.
-			simulated := byPhase["simulate"].Count
-			if simulated == 0 || simulated > units {
-				t.Errorf("par=%d: %d simulate spans, want 1..%d", v.par, simulated, units)
-			}
-			if got := byPhase["run"].Count; got != 4*simulated {
-				t.Errorf("par=%d: %d run spans, want %d", v.par, got, 4*simulated)
-			}
-		} else {
-			// Batched path: spans cover batch handlers and interleaved
-			// passes; every unit still gets its phase-1 and commit spans.
-			for _, name := range []string{"batch-span", "batch-pass"} {
-				if byPhase[name].Count == 0 {
-					t.Errorf("par=%d batch=%d: no %q spans", v.par, v.batch, name)
-				}
-			}
-			for _, name := range []string{"generate", "analyze", "commit"} {
-				if got := byPhase[name].Count; got != units {
-					t.Errorf("par=%d batch=%d: %d %q spans, want %d", v.par, v.batch, got, name, units)
-				}
+		// One unit span per swept system, with one
+		// generate/analyze/simulate/commit child each.
+		for _, name := range []string{"unit", "generate", "analyze", "commit", "turnstile-wait"} {
+			if got := byPhase[name].Count; got != units {
+				t.Errorf("par=%d: %d %q spans, want %d", v.par, got, name, units)
 			}
 		}
+		// Only PM-schedulable units reach simulation; the avg-EER study
+		// then runs 4 protocols per simulated unit.
+		simulated := byPhase["simulate"].Count
+		if simulated == 0 || simulated > units {
+			t.Errorf("par=%d: %d simulate spans, want 1..%d", v.par, simulated, units)
+		}
+		if got := byPhase["run"].Count; got != 4*simulated {
+			t.Errorf("par=%d: %d run spans, want %d", v.par, got, 4*simulated)
+		}
 		if byPhase["worker"].Count != int64(v.par) {
-			t.Errorf("par=%d batch=%d: %d worker spans, want %d",
-				v.par, v.batch, byPhase["worker"].Count, v.par)
+			t.Errorf("par=%d: %d worker spans, want %d", v.par, byPhase["worker"].Count, v.par)
 		}
 		var out bytes.Buffer
 		if err := tracer.WritePerfetto(&out); err != nil {
 			t.Fatalf("WritePerfetto: %v", err)
 		}
 		if !json.Valid(out.Bytes()) {
-			t.Fatalf("par=%d batch=%d: Perfetto export is not valid JSON", v.par, v.batch)
+			t.Fatalf("par=%d: Perfetto export is not valid JSON", v.par)
 		}
 	}
 
 	for i := 1; i < len(variants); i++ {
 		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Errorf("results at par=%d batch=%d trace=%v differ from plain sequential",
-				variants[i].par, variants[i].batch, variants[i].trace)
+			t.Errorf("results at par=%d trace=%v differ from plain sequential",
+				variants[i].par, variants[i].trace)
 		}
 		if !bytes.Equal(stores[0], stores[i]) {
-			t.Errorf("JSONL store at par=%d batch=%d trace=%v differs from plain sequential",
-				variants[i].par, variants[i].batch, variants[i].trace)
+			t.Errorf("JSONL store at par=%d trace=%v differs from plain sequential",
+				variants[i].par, variants[i].trace)
 		}
 	}
 }
@@ -142,12 +122,13 @@ func TestSpanDisabledZeroAllocs(t *testing.T) {
 	rec := Recorder{g: newGate()}
 	unitNo := int64(0)
 	cycle := func() {
-		rec.arm(unitNo)
+		rec.unit, rec.entered = unitNo, false
 		w.beginUnit("trace-test", cfg, &rec)
 		w.lap(phaseGenerate)
 		w.lap(phaseAnalyze)
 		w.lap(phaseSimulate)
-		rec.finish()
+		rec.Begin()
+		rec.g.leave()
 		unitNo++
 	}
 	cycle() // warm the retained record's string fields

@@ -46,9 +46,6 @@ func (s *SimStats) Merge(src *SimStats) {
 	s.lockSuspensions.Add(src.lockSuspensions.Load())
 	s.priorityBoosts.Add(src.priorityBoosts.Load())
 	s.lockStall.Merge(&src.lockStall)
-	s.batchPasses.Add(src.batchPasses.Load())
-	s.batchLanes.Add(src.batchLanes.Load())
-	s.batchLaneHighWater.Max(src.batchLaneHighWater.Load())
 }
 
 // Merge folds src's buckets, sum, and count into h.

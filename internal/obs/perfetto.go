@@ -182,9 +182,6 @@ func (t *PipelineTracer) WritePerfetto(w io.Writer) error {
 			if r.unit >= 0 {
 				args = append(args, PerfettoArg{Key: "unit", Num: r.unit, IsNum: true})
 			}
-			if r.batch > 0 {
-				args = append(args, PerfettoArg{Key: "batch", Num: int64(r.batch), IsNum: true})
-			}
 			pw.Slice(pipelinePID, wi+1, r.phase.String(), r.start, r.dur, args)
 		}
 	}

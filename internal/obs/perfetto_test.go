@@ -11,7 +11,7 @@ import (
 // goldenTracer builds a fully deterministic pipeline trace: spans and
 // counter samples with literal nanosecond values, two worker arenas, a
 // label table, and every argument combination the encoder emits (cell,
-// unit, batch, unlabeled).
+// unit, unlabeled).
 func goldenTracer() *PipelineTracer {
 	tr := NewPipelineTracer()
 	base := tr.RegisterLabels([]string{"(3,50)", "(5,70)"})
@@ -28,8 +28,6 @@ func goldenTracer() *PipelineTracer {
 
 	a1 := tr.Arena(1)
 	a1.Record(SpanWorker, 500, 9_000_000, -1, -1)
-	a1.RecordBatched(SpanBatchSpan, 1_000_000, 6_000_000, base+1, 1, 3)
-	a1.RecordBatched(SpanBatchPass, 2_000_000, 5_000_000, base+1, -1, 12)
 
 	tr.samples = append(tr.samples,
 		counterSample{ts: 2_000_000, unitsDone: 1, rate: 125.5, schedFrac: 1},
@@ -110,8 +108,8 @@ func TestPerfettoParses(t *testing.T) {
 	if meta != 3 { // process_name + two worker thread_names
 		t.Errorf("%d metadata events, want 3", meta)
 	}
-	if slices != 11 {
-		t.Errorf("%d slices, want 11", slices)
+	if slices != 9 {
+		t.Errorf("%d slices, want 9", slices)
 	}
 	if counters != 6 { // 2 samples x 3 series
 		t.Errorf("%d counter events, want 6", counters)

@@ -96,7 +96,7 @@ func WritePromText(w io.Writer, sim *SimStats, sweep *SweepProgress, analysis *A
 		p.sample("rtsync_sim_release_guard_stalls_total", sim.rgStalls.Load())
 		p.header("rtsync_sim_event_queue_high_water", "gauge", "Deepest event-queue occupancy observed.")
 		p.sample("rtsync_sim_event_queue_high_water", sim.queueHighWater.Load())
-		p.header("rtsync_sim_wheel_cascades_total", "counter", "Timing-wheel bucket redistributions (zero under the heap queue).")
+		p.header("rtsync_sim_wheel_cascades_total", "counter", "Timing-wheel bucket redistributions.")
 		p.sample("rtsync_sim_wheel_cascades_total", sim.cascades.Load())
 		p.header("rtsync_sim_runs_total", "counter", "Completed simulation runs.")
 		p.sample("rtsync_sim_runs_total", sim.runs.Load())
@@ -106,12 +106,6 @@ func WritePromText(w io.Writer, sim *SimStats, sweep *SweepProgress, analysis *A
 		p.sample("rtsync_sim_lock_suspensions_total", sim.lockSuspensions.Load())
 		p.header("rtsync_sim_priority_boosts_total", "counter", "Critical sections raising their holder above base priority.")
 		p.sample("rtsync_sim_priority_boosts_total", sim.priorityBoosts.Load())
-		p.header("rtsync_sim_batch_passes_total", "counter", "Interleaved batch-engine passes.")
-		p.sample("rtsync_sim_batch_passes_total", sim.batchPasses.Load())
-		p.header("rtsync_sim_batch_lanes_total", "counter", "Systems simulated across batch passes.")
-		p.sample("rtsync_sim_batch_lanes_total", sim.batchLanes.Load())
-		p.header("rtsync_sim_batch_lane_high_water", "gauge", "Widest interleaved batch pass observed.")
-		p.sample("rtsync_sim_batch_lane_high_water", sim.batchLaneHighWater.Load())
 		p.header("rtsync_sim_idle_ticks_total", "counter", "Idle processor ticks, by processor index.")
 		for proc := 0; proc < MaxProcs; proc++ {
 			if v := sim.idle[proc].Load(); v != 0 {

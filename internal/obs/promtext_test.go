@@ -81,7 +81,6 @@ func TestWritePromText(t *testing.T) {
 	st.ObserveQueueDepth(17)
 	st.AddCascades(3)
 	st.AddIdle(1, 42)
-	st.NoteBatch(8)
 
 	sp := NewSweepProgress()
 	run := sp.StartSweep([]string{"(3,50)", "(5,70)"}, 2, 1)

@@ -35,10 +35,6 @@ type SimStats struct {
 	lockSuspensions  Counter
 	priorityBoosts   Counter
 	lockStall        Histogram
-
-	batchPasses        Counter
-	batchLanes         Counter
-	batchLaneHighWater Counter
 }
 
 // NewSimStats returns a zeroed counter bank.
@@ -80,11 +76,11 @@ func (s *SimStats) NoteLockSuspension(ticks int64) {
 func (s *SimStats) NotePriorityBoost() { s.priorityBoosts.Inc() }
 
 // ObserveQueueDepth raises the event-queue occupancy high-water mark (the
-// heap's depth, or the wheel's resident event count).
+// timing wheel's pending events, overflow included).
 func (s *SimStats) ObserveQueueDepth(depth int64) { s.queueHighWater.Max(depth) }
 
 // AddCascades charges n timing-wheel bucket redistributions — the wheel's
-// amortized re-sort work; always zero under the heap queue.
+// amortized re-sort work.
 func (s *SimStats) AddCascades(n int64) { s.cascades.Add(n) }
 
 // AddIdle charges ticks of idle time to processor p (clamped into the
@@ -96,15 +92,6 @@ func (s *SimStats) AddIdle(p int, ticks int64) {
 	if p >= 0 {
 		s.idle[p].Add(ticks)
 	}
-}
-
-// NoteBatch records one interleaved batch pass over lanes systems: pass
-// count, lane-fill sum (average occupancy = lanes/passes), and the widest
-// pass seen. Single-system runs never touch these.
-func (s *SimStats) NoteBatch(lanes int64) {
-	s.batchPasses.Inc()
-	s.batchLanes.Add(lanes)
-	s.batchLaneHighWater.Max(lanes)
 }
 
 // NoteRun counts one completed simulation run.
@@ -129,10 +116,9 @@ type SimSnapshot struct {
 	ReleaseGuardStalls int64              `json:"release_guard_stalls"`
 	StallTicks         *HistogramSnapshot `json:"stall_ticks,omitempty"`
 	// EventQueueHighWater is the deepest the event queue ever got
-	// (wheel occupancy or heap depth, whichever implementation ran).
+	// (timing-wheel occupancy, overflow included).
 	EventQueueHighWater int64 `json:"event_queue_high_water"`
-	// WheelCascades counts timing-wheel bucket redistributions; zero
-	// when runs used the binary-heap queue.
+	// WheelCascades counts timing-wheel bucket redistributions.
 	WheelCascades int64 `json:"wheel_cascades"`
 	// Runs counts completed simulation runs.
 	Runs int64 `json:"runs"`
@@ -148,13 +134,6 @@ type SimSnapshot struct {
 	// LockStallTicks is the distribution of suspension durations.
 	LockSuspensions int64              `json:"lock_suspensions,omitempty"`
 	LockStallTicks  *HistogramSnapshot `json:"lock_stall_ticks,omitempty"`
-	// BatchPasses counts interleaved batch-engine passes; BatchLanes sums
-	// the systems simulated across them (average fill =
-	// BatchLanes/BatchPasses) and BatchLaneHighWater is the widest pass.
-	// All zero for single-system runs.
-	BatchPasses        int64 `json:"batch_passes,omitempty"`
-	BatchLanes         int64 `json:"batch_lanes,omitempty"`
-	BatchLaneHighWater int64 `json:"batch_lane_high_water,omitempty"`
 }
 
 // Snapshot captures the current counter values. Concurrent writers may
@@ -181,9 +160,6 @@ func (s *SimStats) Snapshot() SimSnapshot {
 	snap.LockAcquisitions = s.lockAcquisitions.Load()
 	snap.PriorityBoosts = s.priorityBoosts.Load()
 	snap.LockSuspensions = s.lockSuspensions.Load()
-	snap.BatchPasses = s.batchPasses.Load()
-	snap.BatchLanes = s.batchLanes.Load()
-	snap.BatchLaneHighWater = s.batchLaneHighWater.Load()
 	if snap.LockSuspensions > 0 {
 		h := s.lockStall.Snapshot()
 		snap.LockStallTicks = &h

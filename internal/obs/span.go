@@ -8,7 +8,7 @@ import (
 // SpanPhase identifies what a recorded span covers. The pipeline phases
 // mirror the sweep's per-unit stages (generate / analyze / simulate /
 // commit); the remaining phases cover worker lifetimes, engine-level runs,
-// batched passes, and the CLI stages of single-run tools.
+// and the CLI stages of single-run tools.
 type SpanPhase uint8
 
 const (
@@ -28,10 +28,6 @@ const (
 	// SpanRun is one engine run (one protocol over one system) — the
 	// Runner-level hook nested inside SpanSimulate.
 	SpanRun
-	// SpanBatchSpan is a batched span handler's whole pass over n units;
-	// SpanBatchPass is the single interleaved BatchRunner pass inside it.
-	SpanBatchSpan
-	SpanBatchPass
 	// SpanLoad, SpanValidate, and SpanReport are CLI stages (rtsim).
 	SpanLoad
 	SpanValidate
@@ -43,8 +39,7 @@ const (
 // spanPhaseNames names the phases in enum order for exports and summaries.
 var spanPhaseNames = [NumSpanPhases]string{
 	"worker", "unit", "generate", "analyze", "simulate", "commit",
-	"turnstile-wait", "run", "batch-span", "batch-pass",
-	"load", "validate", "report",
+	"turnstile-wait", "run", "load", "validate", "report",
 }
 
 // String names the phase.
@@ -62,7 +57,6 @@ type spanRec struct {
 	dur   int64
 	unit  int64 // global sweep unit order, -1 when not unit-scoped
 	label int32 // index into the tracer's label table, -1 when unlabeled
-	batch int32 // units in a batched span, 0 when not batched
 	phase SpanPhase
 	_     [3]byte
 }
@@ -184,12 +178,6 @@ func (a *SpanArena) Clock() int64 { return time.Since(a.epoch).Nanoseconds() }
 // RegisterLabels index or -1; unit is the global sweep unit order or -1.
 func (a *SpanArena) Record(phase SpanPhase, start, end int64, label int32, unit int64) {
 	a.spans = append(a.spans, spanRec{start: start, dur: end - start, unit: unit, label: label, phase: phase})
-}
-
-// RecordBatched appends one span additionally tagged with the number of
-// sweep units it covered (a batched span handler or interleaved pass).
-func (a *SpanArena) RecordBatched(phase SpanPhase, start, end int64, label int32, unit int64, batch int32) {
-	a.spans = append(a.spans, spanRec{start: start, dur: end - start, unit: unit, label: label, batch: batch, phase: phase})
 }
 
 // Len returns the number of recorded spans.

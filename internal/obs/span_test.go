@@ -32,7 +32,7 @@ func TestSummary(t *testing.T) {
 	a0.Record(SpanUnit, 100, 400, 0, 0)     // dur 300
 	a0.Record(SpanGenerate, 100, 150, 0, 0) // dur 50
 	a1.Record(SpanUnit, 200, 1200, 0, 1)    // dur 1000
-	a1.RecordBatched(SpanBatchPass, 0, 70, -1, -1, 4)
+	a1.Record(SpanRun, 0, 70, -1, -1)
 
 	sum := tr.Summary()
 	if sum.Spans != 4 {
@@ -41,7 +41,7 @@ func TestSummary(t *testing.T) {
 	want := []SpanPhaseSummary{
 		{Phase: "unit", Count: 2, TotalNS: 1300, MaxNS: 1000},
 		{Phase: "generate", Count: 1, TotalNS: 50, MaxNS: 50},
-		{Phase: "batch-pass", Count: 1, TotalNS: 70, MaxNS: 70},
+		{Phase: "run", Count: 1, TotalNS: 70, MaxNS: 70},
 	}
 	if len(sum.Phases) != len(want) {
 		t.Fatalf("got %d phases %+v, want %d", len(sum.Phases), sum.Phases, len(want))

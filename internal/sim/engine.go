@@ -87,15 +87,8 @@ type Config struct {
 	Locking LockingKind
 	// MaxEvents aborts a runaway simulation; 0 means the default cap.
 	MaxEvents int64
-	// Queue selects the event-queue / ready-queue implementation pair:
-	// QueueWheel (default) is the O(1) hierarchical timing wheel with
-	// bitmap-indexed ready lanes, QueueHeap the binary heaps it
-	// replaced. Schedules are bit-identical either way; the heap is an
-	// A/B escape hatch kept for one release (FuzzQueueEquivalence
-	// drives the two against each other).
-	Queue QueueKind
 	// Stats, when non-nil, receives engine counters (events popped per
-	// op, preemptions, context switches, release-guard stalls, event-heap
+	// op, preemptions, context switches, release-guard stalls, event-queue
 	// high water, per-processor idle time). The hooks are nil-guarded
 	// plain-type calls: a nil Stats costs one predictable branch per hook
 	// and the instrumented loop stays allocation-free either way, so
@@ -163,7 +156,7 @@ type Engine struct {
 	idx    *model.SubtaskIndex
 	cfg    Config
 	clock  model.Time
-	events eventQueue
+	events timingWheel
 	seq    int64
 	procs  []procState
 	dirty  []int
@@ -219,16 +212,6 @@ type Engine struct {
 
 	eventsRun int64
 	ran       bool
-
-	// shared, when non-nil, wires this engine into a BatchRunner pass as
-	// lane `lane`: pushes route to the batch's shared event queue, stamped
-	// with the lane and sequenced by the batch-global counter. batchDone
-	// marks the lane finished within the pass (its first past-horizon
-	// event was popped); later shared-queue events of a done lane are
-	// dropped uncounted, so per-lane metrics match a sequential run.
-	shared    *BatchRunner
-	lane      int16
-	batchDone bool
 }
 
 // New builds an engine for one run over s. The system is validated and
@@ -302,8 +285,7 @@ func (e *Engine) Reset(s *model.System, cfg Config) error {
 	e.seq = 0
 	e.eventsRun = 0
 	e.ran = false
-	e.batchDone = false
-	e.events.reset(cfg.Queue)
+	e.events.reset()
 	e.timers = e.timers[:0]
 	e.dirty = e.dirty[:0]
 	// The old ready queues and running slots are about to be cleared, so
@@ -344,7 +326,7 @@ func (e *Engine) Reset(s *model.System, cfg Config) error {
 	// dispatch, effective after, critical-section boosts on top); the
 	// ready lanes index a bitmap by hi-priority, falling back to the heap
 	// when the range is too wide.
-	rp := readyParams{edf: cfg.Scheduler == EDF, kind: cfg.Queue}
+	rp := readyParams{edf: cfg.Scheduler == EDF}
 	for i := range e.subs {
 		if i == 0 || e.subs[i].base < rp.lo {
 			rp.lo = e.subs[i].base
@@ -441,11 +423,18 @@ type Outcome struct {
 // Run executes the simulation to the horizon and returns its outcome. Each
 // New or Reset permits exactly one Run.
 func (e *Engine) Run() (*Outcome, error) {
-	if e.shared != nil {
-		return nil, errors.New("sim: Run on a batch-attached engine (use BatchRunner.Run)")
+	if e.ran {
+		return nil, errors.New("sim: Run called again without Reset")
 	}
-	if err := e.begin(); err != nil {
-		return nil, err
+	e.ran = true
+	if err := e.cfg.Protocol.Init(e); err != nil {
+		return nil, fmt.Errorf("sim: init %s: %w", e.cfg.Protocol.Name(), err)
+	}
+	// Seed the periodic first-subtask releases, anchored to the local
+	// clock of each task's first processor.
+	for i := range e.sys.Tasks {
+		first := e.sys.Tasks[i].Subtasks[0].Proc
+		e.pushFirstRelease(i, 0, e.sys.Tasks[i].Phase.Add(e.ClockOffset(first)))
 	}
 	for e.events.len() > 0 {
 		if e.stats != nil {
@@ -459,52 +448,17 @@ func (e *Engine) Run() (*Outcome, error) {
 		if ev.at > e.cfg.Horizon {
 			break
 		}
-		if err := e.step(&ev); err != nil {
-			return nil, err
+		if ev.at < e.clock {
+			return nil, fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.clock)
+		}
+		e.clock = ev.at
+		e.exec(&ev)
+		e.settleAll(e.clock)
+		e.eventsRun++
+		if e.eventsRun > e.cfg.MaxEvents {
+			return nil, fmt.Errorf("%w (%d events)", ErrEventBudget, e.eventsRun)
 		}
 	}
-	return e.finish(), nil
-}
-
-// begin arms a run: marks the engine consumed, initializes the protocol, and
-// seeds the periodic first-subtask releases, anchored to the local clock of
-// each task's first processor.
-func (e *Engine) begin() error {
-	if e.ran {
-		return errors.New("sim: Run called again without Reset")
-	}
-	e.ran = true
-	if err := e.cfg.Protocol.Init(e); err != nil {
-		return fmt.Errorf("sim: init %s: %w", e.cfg.Protocol.Name(), err)
-	}
-	for i := range e.sys.Tasks {
-		first := e.sys.Tasks[i].Subtasks[0].Proc
-		e.pushFirstRelease(i, 0, e.sys.Tasks[i].Phase.Add(e.ClockOffset(first)))
-	}
-	return nil
-}
-
-// step executes one in-horizon event: advance the clock, dispatch, settle
-// every dirty processor, and charge the event budget. Shared by the
-// sequential loop above and BatchRunner's interleaved loop, so a lane's
-// per-event work is the same code either way.
-func (e *Engine) step(ev *event) error {
-	if ev.at < e.clock {
-		return fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.clock)
-	}
-	e.clock = ev.at
-	e.exec(ev)
-	e.settleAll(e.clock)
-	e.eventsRun++
-	if e.eventsRun > e.cfg.MaxEvents {
-		return fmt.Errorf("%w (%d events)", ErrEventBudget, e.eventsRun)
-	}
-	return nil
-}
-
-// finish seals the run: final metrics, trace close-out, horizon idle
-// accounting, and the reused Outcome.
-func (e *Engine) finish() *Outcome {
 	e.metrics.Horizon = e.cfg.Horizon
 	e.metrics.Events = e.eventsRun
 	if e.trace != nil {
@@ -518,15 +472,11 @@ func (e *Engine) finish() *Outcome {
 				e.stats.AddIdle(p, int64(e.cfg.Horizon.Sub(e.procs[p].idleStart)))
 			}
 		}
-		if e.shared == nil {
-			// Batch lanes share one queue; BatchRunner charges its
-			// cascades once per distinct stats bank instead.
-			e.stats.AddCascades(e.events.cascades())
-		}
+		e.stats.AddCascades(e.events.cascades)
 		e.stats.NoteRun()
 	}
 	e.out = Outcome{Metrics: e.metrics, Trace: e.trace}
-	return &e.out
+	return &e.out, nil
 }
 
 // exec dispatches one popped event by its op.
@@ -619,19 +569,8 @@ func (r *Runner) Run(s *model.System, cfg Config) (*Outcome, error) {
 	return out, err
 }
 
-// push schedules an event, stamping its sequence number. A batch-attached
-// engine routes into the shared queue instead, sequenced by the batch-global
-// counter and tagged with its lane: the global counter is monotonic with
-// push time, so within one lane seq order still equals push order — which is
-// all (at, kind, seq) ordering ever depended on.
+// push schedules an event, stamping its sequence number.
 func (e *Engine) push(ev event) {
-	if b := e.shared; b != nil {
-		b.seq++
-		ev.seq = b.seq
-		ev.lane = e.lane
-		b.queue.push(&ev)
-		return
-	}
 	e.seq++
 	ev.seq = e.seq
 	e.events.push(&ev)

@@ -51,16 +51,12 @@ const (
 
 // event is one scheduled occurrence, a plain value: the queue stores events
 // by value, so pushing and popping allocate nothing in the steady state.
-// lane is the owning system's index within a BatchRunner pass (always 0 in
-// single-system runs); it sits in the struct's alignment padding, so batch
-// mode costs no event bytes.
 type event struct {
 	at   model.Time
 	seq  int64
 	inst int64
 	kind int8
 	op   int8
-	lane int16
 	a    int32
 	b    int32
 	fn   func(t model.Time)
@@ -78,11 +74,11 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is a hand-rolled binary min-heap of event values. It replaces
-// container/heap over *event: no per-event allocation, no interface boxing,
-// and the backing array is reused across Engine.Reset. It is one of the two
-// eventQueue implementations (Config.Queue == QueueHeap) and doubles as the
-// timing wheel's overflow level for far-future timers.
+// eventHeap is a hand-rolled binary min-heap of event values: no per-event
+// allocation, no interface boxing, and the backing array is reused across
+// Engine.Reset. It is the timing wheel's overflow store for events beyond
+// the wheel's block span, and the reference order the queue tests and
+// FuzzQueueEquivalence drive the wheel against.
 type eventHeap struct {
 	items []event
 }

@@ -161,6 +161,18 @@ func globalSystem() *model.System {
 	return b.MustBuild()
 }
 
+// overflowSystem builds a two-processor system whose periods (40M and 60M
+// ticks) exceed the timing wheel's ~16.8M-tick block span, so every first
+// release and protocol timer crosses the wheel's overflow heap.
+func overflowSystem() *model.System {
+	b := model.NewBuilder()
+	pr := b.AddProcessor("P")
+	q := b.AddProcessor("Q")
+	b.AddTask("A", 40_000_000, 0).Subtask(pr, 1_000_000, 2).Subtask(q, 2_000_000, 1).Done()
+	b.AddTask("B", 60_000_000, 0).Subtask(q, 3_000_000, 2).Subtask(pr, 1_500_000, 1).Done()
+	return b.MustBuild()
+}
+
 // sporadicDelay is a deterministic FirstReleaseDelay for the PM-violation
 // golden case.
 func sporadicDelay(task int, m int64) model.Duration {
@@ -253,6 +265,13 @@ func goldenCases(t *testing.T) []goldenCase {
 		add("offsets-mpm", ex1, sim.Config{Protocol: sim.NewMPM(b), Horizon: 60, ClockOffsets: offs}, true)
 	}
 	add("offsets-rg", ex1, sim.Config{Protocol: sim.NewRG(), Horizon: 60, ClockOffsets: offs}, true)
+
+	// Periods past the wheel's block span: the overflow-heap path. These
+	// digests were captured while the engine could still replay every
+	// run on the reference binary-heap queue, with identical results.
+	ovf := overflowSystem()
+	add("overflow-rg", ovf, sim.Config{Protocol: sim.NewRG(), Horizon: 200_000_000}, false)
+	add("overflow-ds", ovf, sim.Config{Protocol: sim.NewDS(), Horizon: 200_000_000}, false)
 
 	// Sporadic first releases: PM violates precedence, the others do not.
 	if b, ok := pmBoundsOf(t, ex2); ok {

@@ -9,67 +9,88 @@ import (
 	"rtsync/internal/model"
 )
 
-// eventQueueOrderingProperty: popping the event queue always yields events
-// sorted by (time, kind, seq), whatever the insertion order. Exercised
-// against both implementations.
-func eventQueueOrderingProperty(t *testing.T, kind QueueKind) {
+// randomEvents draws an insertion sequence over a narrow time range, so
+// (at, kind) ties are common and only seq separates them.
+func randomEvents(rng *rand.Rand) []event {
+	evs := make([]event, 50+rng.Intn(100))
+	for i := range evs {
+		evs[i] = event{at: model.Time(rng.Intn(20)), kind: int8(rng.Intn(3)), seq: int64(i)}
+	}
+	return evs
+}
+
+// inEventOrder reports whether evs is sorted by (at, kind, seq).
+func inEventOrder(evs []event) bool {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].before(&evs[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEventHeapOrderingProperty: the reference heap pops every event in
+// (at, kind, seq) order, whatever the insertion order.
+func TestEventHeapOrderingProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var q eventQueue
-		q.reset(kind)
-		n := 50 + rng.Intn(100)
-		for i := 0; i < n; i++ {
-			q.push(&event{
-				at:   model.Time(rng.Intn(20)),
-				kind: int8(rng.Intn(3)),
-				seq:  int64(i),
-			})
+		in := randomEvents(rand.New(rand.NewSource(seed)))
+		var q eventHeap
+		for _, ev := range in {
+			q.push(ev)
 		}
-		var prev *event
+		var out []event
 		for q.len() > 0 {
-			var ev event
-			q.pop(&ev)
-			if prev != nil {
-				if ev.at < prev.at {
-					return false
-				}
-				if ev.at == prev.at && ev.kind < prev.kind {
-					return false
-				}
-				if ev.at == prev.at && ev.kind == prev.kind && ev.seq < prev.seq {
-					return false
-				}
-			}
-			prev = &ev
+			out = append(out, q.pop())
 		}
-		return true
+		return len(out) == len(in) && inEventOrder(out)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestEventHeapOrderingProperty(t *testing.T) {
-	eventQueueOrderingProperty(t, QueueHeap)
-}
-
+// TestEventWheelOrderingProperty: the timing wheel pops every event in
+// (at, kind, seq) order, whatever the insertion order.
 func TestEventWheelOrderingProperty(t *testing.T) {
-	eventQueueOrderingProperty(t, QueueWheel)
+	f := func(seed int64) bool {
+		in := randomEvents(rand.New(rand.NewSource(seed)))
+		var q timingWheel
+		for i := range in {
+			q.push(&in[i])
+		}
+		var out []event
+		for q.len() > 0 {
+			var ev event
+			q.pop(&ev)
+			out = append(out, ev)
+		}
+		return len(out) == len(in) && inEventOrder(out)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestEventWheelFarFutureOrdering drives timestamps across window and block
 // boundaries — cascades and the overflow heap — interleaving pushes with
-// pops the way the engine does (pushes never precede the last popped time).
+// pops the way the engine does (pushes never precede the last popped time),
+// and requires the wheel to pop exactly what the reference heap pops.
 func TestEventWheelFarFutureOrdering(t *testing.T) {
 	deltas := []int64{0, 1, 63, 64, 65, 4095, 4096, 262144, wheelSpan - 1,
 		wheelSpan, wheelSpan + 7, 3 * wheelSpan, 1 << 40}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var wheel, heap eventQueue
-		wheel.reset(QueueWheel)
-		heap.reset(QueueHeap)
+		var wheel timingWheel
+		var heap eventHeap
 		var seq int64
 		var now model.Time
+		same := func() bool {
+			var a event
+			wheel.pop(&a)
+			b := heap.pop()
+			now = a.at
+			return a.at == b.at && a.kind == b.kind && a.seq == b.seq
+		}
 		for i := 0; i < 400; i++ {
 			if heap.len() == 0 || rng.Intn(3) > 0 {
 				seq++
@@ -79,22 +100,15 @@ func TestEventWheelFarFutureOrdering(t *testing.T) {
 					seq:  seq,
 				}
 				wheel.push(&ev)
-				heap.push(&ev)
+				heap.push(ev)
 				continue
 			}
-			var a, b event
-			wheel.pop(&a)
-			heap.pop(&b)
-			if a.at != b.at || a.kind != b.kind || a.seq != b.seq {
+			if !same() {
 				return false
 			}
-			now = a.at
 		}
 		for heap.len() > 0 {
-			var a, b event
-			wheel.pop(&a)
-			heap.pop(&b)
-			if a.at != b.at || a.kind != b.kind || a.seq != b.seq {
+			if !same() {
 				return false
 			}
 		}
@@ -105,55 +119,77 @@ func TestEventWheelFarFutureOrdering(t *testing.T) {
 	}
 }
 
-// readyQueueFor builds a facade over the requested implementation with a
-// priority range wide enough for the tests' jobs.
-func readyQueueFor(edf bool, kind QueueKind) *readyQueue {
-	q := new(readyQueue)
-	q.reset(readyParams{edf: edf, kind: kind, lo: 0, hi: 8})
-	return q
+// laneTop is the top priority the ready-queue tests rebase the lanes at;
+// every job they draw has a priority in [0, laneTop).
+const laneTop = 8
+
+// randomReadyJobs draws fixed-priority jobs with many priority and
+// (task, instance) ties.
+func randomReadyJobs(rng *rand.Rand) []Job {
+	jobs := make([]Job, 20+rng.Intn(50))
+	for i := range jobs {
+		jobs[i] = Job{
+			ID:       model.SubtaskID{Task: rng.Intn(3), Sub: 0},
+			Instance: int64(rng.Intn(10)),
+			base:     model.Priority(rng.Intn(5)),
+			deadline: model.TimeInfinity,
+		}
+	}
+	return jobs
 }
 
-// readyQueueFixedPriorityProperty: the ready queue pops jobs in
+// inDispatchOrder reports whether jobs pop in non-increasing active
+// priority with the deterministic (task, sub, instance) tie-break.
+func inDispatchOrder(jobs []*Job) bool {
+	for i := 1; i < len(jobs); i++ {
+		prev, j := jobs[i-1], jobs[i]
+		if j.active() > prev.active() || j.active() == prev.active() && jobTieLess(j, prev) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReadyQueueFixedPriorityProperty: the ready heap dispatches in
 // non-increasing active priority, with the deterministic tie-break.
-func readyQueueFixedPriorityProperty(t *testing.T, kind QueueKind) {
+func TestReadyQueueFixedPriorityProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := readyQueueFor(false, kind)
-		n := 20 + rng.Intn(50)
-		for i := 0; i < n; i++ {
-			q.push(&Job{
-				ID:       model.SubtaskID{Task: rng.Intn(3), Sub: 0},
-				Instance: int64(rng.Intn(10)),
-				base:     model.Priority(rng.Intn(5)),
-				deadline: model.TimeInfinity,
-			})
+		jobs := randomReadyJobs(rand.New(rand.NewSource(seed)))
+		var q readyHeap
+		q.reset(false)
+		for i := range jobs {
+			q.push(&jobs[i])
 		}
-		var prev *Job
-		for !q.empty() {
-			j := q.pop()
-			if prev != nil {
-				if j.active() > prev.active() {
-					return false
-				}
-				if j.active() == prev.active() && jobTieLess(j, prev) {
-					return false
-				}
-			}
-			prev = j
+		var out []*Job
+		for q.len() > 0 {
+			out = append(out, q.pop())
 		}
-		return true
+		return len(out) == len(jobs) && inDispatchOrder(out)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestReadyQueueFixedPriorityProperty(t *testing.T) {
-	readyQueueFixedPriorityProperty(t, QueueHeap)
-}
-
+// TestReadyLanesFixedPriorityProperty: the bitmap lanes dispatch in the
+// same order the heap property above requires.
 func TestReadyLanesFixedPriorityProperty(t *testing.T) {
-	readyQueueFixedPriorityProperty(t, QueueWheel)
+	f := func(seed int64) bool {
+		jobs := randomReadyJobs(rand.New(rand.NewSource(seed)))
+		var q priorityLanes
+		q.reset(laneTop)
+		for i := range jobs {
+			q.push(&jobs[i])
+		}
+		var out []*Job
+		for q.count > 0 {
+			out = append(out, q.pop())
+		}
+		return len(out) == len(jobs) && inDispatchOrder(out)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestReadyLanesMatchHeap: lanes and heap pop identical jobs under random
@@ -161,26 +197,25 @@ func TestReadyLanesFixedPriorityProperty(t *testing.T) {
 func TestReadyLanesMatchHeap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lanes := readyQueueFor(false, QueueWheel)
-		heap := readyQueueFor(false, QueueHeap)
-		if !lanes.useLanes || heap.useLanes {
-			return false
-		}
+		var lanes priorityLanes
+		lanes.reset(laneTop)
+		var heap readyHeap
+		heap.reset(false)
 		for i := 0; i < 300; i++ {
-			if heap.empty() || rng.Intn(3) > 0 {
+			if heap.len() == 0 || rng.Intn(3) > 0 {
 				j := &Job{
 					ID:       model.SubtaskID{Task: rng.Intn(4), Sub: rng.Intn(3)},
 					Instance: int64(rng.Intn(6)),
-					base:     model.Priority(rng.Intn(8)),
-					eff:      model.Priority(rng.Intn(8)),
+					base:     model.Priority(rng.Intn(laneTop)),
+					eff:      model.Priority(rng.Intn(laneTop)),
 					started:  rng.Intn(2) == 0,
 					deadline: model.TimeInfinity,
 				}
 				if j.eff < j.base {
 					j.base, j.eff = j.eff, j.base
 				}
-				// Two facades cannot share one intrusive job; give the
-				// heap a copy and compare by value.
+				// The lanes thread jobs intrusively, so the heap gets
+				// a copy and the two are compared by value.
 				cp := *j
 				lanes.push(j)
 				heap.push(&cp)
@@ -194,22 +229,23 @@ func TestReadyLanesMatchHeap(t *testing.T) {
 				return false
 			}
 		}
-		return lanes.len() == heap.len()
+		return lanes.count == heap.len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// readyQueueEDFProperty: under EDF the queue pops by non-decreasing
-// absolute deadline (EDF always routes to the heap implementation).
+// TestReadyQueueEDFProperty: EDF always selects the heap, which then pops
+// by non-decreasing absolute deadline.
 func TestReadyQueueEDFProperty(t *testing.T) {
+	if (readyParams{edf: true, lo: 0, hi: laneTop}).lanes() {
+		t.Fatal("EDF must select the heap")
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := readyQueueFor(true, QueueWheel)
-		if q.useLanes {
-			return false // EDF must select the heap
-		}
+		var q readyHeap
+		q.reset(true)
 		n := 20 + rng.Intn(50)
 		var deadlines []model.Time
 		for i := 0; i < n; i++ {
@@ -222,7 +258,7 @@ func TestReadyQueueEDFProperty(t *testing.T) {
 			})
 		}
 		sort.Slice(deadlines, func(i, j int) bool { return deadlines[i] < deadlines[j] })
-		for k := 0; !q.empty(); k++ {
+		for k := 0; q.len() > 0; k++ {
 			if q.pop().deadline != deadlines[k] {
 				return false
 			}
@@ -237,28 +273,37 @@ func TestReadyQueueEDFProperty(t *testing.T) {
 // TestReadyQueuePeekMatchesPop: peek never disagrees with the next pop, in
 // either implementation.
 func TestReadyQueuePeekMatchesPop(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		rng := rand.New(rand.NewSource(12))
-		q := readyQueueFor(false, kind)
-		if q.peek() != nil {
-			t.Errorf("%v: peek on empty queue should be nil", kind)
+	var lanes priorityLanes
+	lanes.reset(laneTop)
+	var heap readyHeap
+	heap.reset(false)
+	if lanes.peek() != nil || heap.peek() != nil {
+		t.Fatal("peek on an empty queue should be nil")
+	}
+	rng := rand.New(rand.NewSource(12))
+	laneJobs, heapJobs := make([]Job, 100), make([]Job, 100)
+	for i := range laneJobs {
+		laneJobs[i] = Job{
+			ID:       model.SubtaskID{Task: rng.Intn(3), Sub: 0},
+			Instance: int64(i),
+			base:     model.Priority(rng.Intn(4)),
+			deadline: model.TimeInfinity,
 		}
-		for i := 0; i < 100; i++ {
-			q.push(&Job{
-				ID:       model.SubtaskID{Task: rng.Intn(3), Sub: 0},
-				Instance: int64(i),
-				base:     model.Priority(rng.Intn(4)),
-				deadline: model.TimeInfinity,
-			})
+		heapJobs[i] = laneJobs[i]
+		lanes.push(&laneJobs[i])
+		heap.push(&heapJobs[i])
+	}
+	if lanes.count != 100 || heap.len() != 100 {
+		t.Fatalf("len = %d (lanes), %d (heap), want 100", lanes.count, heap.len())
+	}
+	for lanes.count > 0 {
+		if want := lanes.peek(); lanes.pop() != want {
+			t.Fatal("lanes: peek disagreed with pop")
 		}
-		if q.len() != 100 {
-			t.Errorf("%v: len = %d, want 100", kind, q.len())
-		}
-		for !q.empty() {
-			want := q.peek()
-			if got := q.pop(); got != want {
-				t.Fatalf("%v: peek disagreed with pop", kind)
-			}
+	}
+	for heap.len() > 0 {
+		if want := heap.peek(); heap.pop() != want {
+			t.Fatal("heap: peek disagreed with pop")
 		}
 	}
 }
@@ -267,11 +312,11 @@ func TestReadyQueuePeekMatchesPop(t *testing.T) {
 // lanes must select the heap, not truncate.
 func TestReadyQueueWideRangeFallsBack(t *testing.T) {
 	q := new(readyQueue)
-	q.reset(readyParams{kind: QueueWheel, lo: 0, hi: 1000})
+	q.reset(readyParams{lo: 0, hi: 1000})
 	if q.useLanes {
 		t.Fatal("range 0..1000 should fall back to the heap")
 	}
-	q.reset(readyParams{kind: QueueWheel, lo: 1000, hi: 1063})
+	q.reset(readyParams{lo: 1000, hi: 1063})
 	if !q.useLanes {
 		t.Fatal("dense 64-level range should use the lanes")
 	}

@@ -137,47 +137,6 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
-// BenchmarkEngineEventsQueue is the A/B companion to BenchmarkEngineEvents:
-// the identical steady-state loop under each Config.Queue implementation,
-// so a regression in either queue shows up against the other on the same
-// machine and workload.
-func BenchmarkEngineEventsQueue(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		kind sim.QueueKind
-	}{
-		{"wheel", sim.QueueWheel},
-		{"heap", sim.QueueHeap},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			sys := perfSystem(b)
-			cfg := perfConfig(sys, 10)
-			cfg.Queue = tc.kind
-			e, err := sim.New(sys, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				if err := e.Reset(sys, cfg); err != nil {
-					b.Fatal(err)
-				}
-				out, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += out.Metrics.Events
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		})
-	}
-}
-
 // BenchmarkEngineReuse contrasts the Runner path (engine recycled across
 // runs, as the experiment sweeps use it) with BenchmarkEngineFresh below.
 func BenchmarkEngineReuse(b *testing.B) {

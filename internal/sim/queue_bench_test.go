@@ -27,71 +27,89 @@ func benchDeltas(n int) []model.Duration {
 
 // BenchmarkEventQueuePushPop measures the hold model — pop the minimum,
 // push a successor — that dominates the engine's queue traffic, at a
-// steady occupancy of 32 events.
+// steady occupancy of 32 events: the timing wheel against the reference
+// heap it replaced.
 func BenchmarkEventQueuePushPop(b *testing.B) {
 	const hold = 32
 	deltas := benchDeltas(1024)
-	for _, tc := range []struct {
-		name string
-		kind QueueKind
-	}{
-		{"heap", QueueHeap},
-		{"wheel", QueueWheel},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var q eventQueue
-			q.reset(tc.kind)
-			var seq int64
-			for i := 0; i < hold; i++ {
-				seq++
-				q.push(&event{at: model.Time(i), kind: int8(i % int(numKinds)), seq: seq})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var ev event
-			for i := 0; i < b.N; i++ {
-				q.pop(&ev)
-				seq++
-				ev.at = ev.at.Add(deltas[i&1023])
-				ev.seq = seq
-				q.push(&ev)
-			}
-		})
+	b.Run("heap", func(b *testing.B) {
+		var q eventHeap
+		var seq int64
+		for i := 0; i < hold; i++ {
+			seq++
+			q.push(event{at: model.Time(i), kind: int8(i % int(numKinds)), seq: seq})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := q.pop()
+			seq++
+			ev.at = ev.at.Add(deltas[i&1023])
+			ev.seq = seq
+			q.push(ev)
+		}
+	})
+	b.Run("wheel", func(b *testing.B) {
+		var q timingWheel
+		var seq int64
+		for i := 0; i < hold; i++ {
+			seq++
+			q.push(&event{at: model.Time(i), kind: int8(i % int(numKinds)), seq: seq})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var ev event
+		for i := 0; i < b.N; i++ {
+			q.pop(&ev)
+			seq++
+			ev.at = ev.at.Add(deltas[i&1023])
+			ev.seq = seq
+			q.push(&ev)
+		}
+	})
+}
+
+// dispatchBacklog fills a steady backlog of 24 jobs over 8 priority levels
+// for BenchmarkReadyQueueDispatch.
+func dispatchBacklog(push func(*Job)) {
+	jobs := make([]Job, 24)
+	for i := range jobs {
+		jobs[i] = Job{
+			ID:       model.SubtaskID{Task: i % 6, Sub: i / 6},
+			base:     model.Priority(1 + i%8),
+			eff:      model.Priority(1 + i%8),
+			deadline: model.TimeInfinity,
+		}
+		push(&jobs[i])
 	}
 }
 
 // BenchmarkReadyQueueDispatch measures the dispatch cycle — pop the most
 // urgent job, requeue it as its next instance — at a steady backlog of 24
-// jobs over 8 priority levels.
+// jobs over 8 priority levels: the bitmap lanes against the heap.
 func BenchmarkReadyQueueDispatch(b *testing.B) {
-	const backlog = 24
-	for _, tc := range []struct {
-		name string
-		kind QueueKind
-	}{
-		{"heap", QueueHeap},
-		{"bitmap", QueueWheel},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			q := new(readyQueue)
-			q.reset(readyParams{kind: tc.kind, lo: 0, hi: 8})
-			jobs := make([]Job, backlog)
-			for i := range jobs {
-				jobs[i] = Job{
-					ID:       model.SubtaskID{Task: i % 6, Sub: i / 6},
-					base:     model.Priority(1 + i%8),
-					eff:      model.Priority(1 + i%8),
-					deadline: model.TimeInfinity,
-				}
-				q.push(&jobs[i])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := q.pop()
-				j.Instance++
-				q.push(j)
-			}
-		})
-	}
+	b.Run("heap", func(b *testing.B) {
+		var q readyHeap
+		q.reset(false)
+		dispatchBacklog(q.push)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := q.pop()
+			j.Instance++
+			q.push(j)
+		}
+	})
+	b.Run("bitmap", func(b *testing.B) {
+		var q priorityLanes
+		q.reset(8)
+		dispatchBacklog(q.push)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := q.pop()
+			j.Instance++
+			q.push(j)
+		}
+	})
 }

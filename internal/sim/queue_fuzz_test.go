@@ -28,16 +28,15 @@ func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0x0B, 0x1C, 0x2D, 0x0E, 0xFF, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, program []byte) {
-		var wheel, heap eventQueue
-		wheel.reset(QueueWheel)
-		heap.reset(QueueHeap)
+		var wheel timingWheel
+		var heap eventHeap
 
 		var seq int64
 		var now model.Time
 		pop := func() {
-			var a, b event
+			var a event
 			wheel.pop(&a)
-			heap.pop(&b)
+			b := heap.pop()
 			if a.at != b.at || a.kind != b.kind || a.seq != b.seq {
 				t.Fatalf("pop diverged: wheel (%v,%d,%d) heap (%v,%d,%d)",
 					a.at, a.kind, a.seq, b.at, b.kind, b.seq)
@@ -62,7 +61,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 				seq:  seq,
 			}
 			wheel.push(&ev)
-			heap.push(&ev)
+			heap.push(ev)
 			if wheel.len() != heap.len() {
 				t.Fatalf("len diverged after push: wheel %d heap %d", wheel.len(), heap.len())
 			}

@@ -17,8 +17,6 @@ type readyParams struct {
 	// edf selects deadline ordering, which has no bounded key space and
 	// therefore always uses the heap.
 	edf bool
-	// kind mirrors Config.Queue: QueueHeap forces the heap implementation.
-	kind QueueKind
 	// lo and hi bound every priority a job can compete at this run
 	// (min base .. max effective); the lanes index priorities by hi-p.
 	lo, hi model.Priority
@@ -26,17 +24,16 @@ type readyParams struct {
 
 // lanes reports whether the run uses the bitmap-indexed lanes.
 func (rp readyParams) lanes() bool {
-	return !rp.edf && rp.kind != QueueHeap && int64(rp.hi)-int64(rp.lo) < maxLanes
+	return !rp.edf && int64(rp.hi)-int64(rp.lo) < maxLanes
 }
 
 // readyQueue is the per-processor set of released, incomplete jobs, popped
 // in the deterministic dispatch order. Under fixed priority: active
 // priority first (so a preempted lock holder keeps its ceiling), ties by
 // (task, sub, instance). Under EDF: earlier absolute deadline first, same
-// tie-break. Two interchangeable implementations sit behind the facade —
-// bitmap-indexed priority lanes (fixed priority over a dense range, the
-// default) and a binary heap (EDF, wide ranges, or Config.Queue ==
-// QueueHeap) — and pop in the identical order.
+// tie-break. Two implementations sit behind the facade — bitmap-indexed
+// priority lanes (fixed priority over a dense range) and a binary heap
+// (EDF or wide priority ranges) — and pop in the identical order.
 type readyQueue struct {
 	useLanes bool
 	lanes    priorityLanes
@@ -181,8 +178,8 @@ func jobTieLess(a, b *Job) bool {
 }
 
 // readyHeap is the hand-rolled binary-heap implementation: the EDF variant
-// (deadlines have no bounded key space to index) and the escape-hatch
-// fixed-priority path.
+// (deadlines have no bounded key space to index) and the fixed-priority
+// path for ranges wider than the lanes' 64 levels.
 type readyHeap struct {
 	edf  bool
 	jobs []*Job

@@ -32,7 +32,7 @@ type RG struct {
 	pending [][]int64
 	// hasPending[si] mirrors len(pending[si]) > 0 in one byte, so rule 2's
 	// idle-point sweep touches one cache line instead of every slice
-	// header — the sweep is the hottest protocol path under batched runs.
+	// header — the sweep runs at every idle point of every processor.
 	hasPending []bool
 	// arrival[si] mirrors pending[si] with each held signal's arrival
 	// time — maintained only when the engine carries observability stats,

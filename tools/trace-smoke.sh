@@ -4,7 +4,7 @@
 #
 #   1. zero-perturbation: a miniature sweep with -trace-pipeline produces
 #      byte-identical stdout and JSONL store vs the untraced run, at
-#      GOMAXPROCS 1 and the host default, sequential and -batch 3
+#      GOMAXPROCS 1, 4 and the host default
 #   2. trace validity: the emitted file is Chrome trace-event JSON whose
 #      slices nest per (pid, tid) track (tracecheck -trace)
 #   3. manifest: a traced -manifest run embeds a span summary
@@ -43,8 +43,6 @@ run_traced() {
 run_traced seq "$tmp/rtx"
 run_traced seq1 env GOMAXPROCS=1 "$tmp/rtx"
 run_traced par env GOMAXPROCS=4 "$tmp/rtx"
-run_traced batch "$tmp/rtx" -batch 3
-run_traced batchpar env GOMAXPROCS=4 "$tmp/rtx" -batch 3
 
 # --- 3: the manifest of a traced run carries the span summary.
 

@@ -8,11 +8,7 @@
 #              (content hashes verified), and cmp against the committed .txt
 #   3. det:    run a miniature sweep at GOMAXPROCS=1 and at the host's
 #              default, and cmp the two JSONL stores byte for byte
-#   4. batch:  rerun the batch-capable simulation sweep with -batch > 1
-#              (crossed with GOMAXPROCS 1 and default) and cmp every store
-#              against the sequential one — the batched interleaved engine
-#              pass must be invisible in the output
-#   5. warm:   rerun committed figures with -warm-start (crossed with
+#   4. warm:   rerun committed figures with -warm-start (crossed with
 #              GOMAXPROCS 1 and default for the minis) and cmp stdout
 #              against the committed .txt and the store against the cold
 #              run's — warm-seeded fixed points must change no output byte
@@ -119,19 +115,7 @@ det tightness -systems 4
 det sensitivity -systems 2 -horizon-periods 5
 det locking $mini
 
-# --- 4: batch invisibility — the avgeer study's batched engine path, crossed
-# with worker parallelism, against a sequential reference store.
-
-"$tmp/rtx" -figure 14 $mini -batch 1 -jsonl "$tmp/batchref.jsonl" >/dev/null
-for b in 3 8; do
-	GOMAXPROCS=1 "$tmp/rtx" -figure 14 $mini -batch $b -jsonl "$tmp/batch1x$b.jsonl" >/dev/null
-	cmp "$tmp/batchref.jsonl" "$tmp/batch1x$b.jsonl"
-	"$tmp/rtx" -figure 14 $mini -batch $b -jsonl "$tmp/batchNx$b.jsonl" >/dev/null
-	cmp "$tmp/batchref.jsonl" "$tmp/batchNx$b.jsonl"
-	echo "ok  batch   fig14 -batch $b (GOMAXPROCS 1 and default)"
-done
-
-# --- 5: warm-start invisibility — every committed figure rerun with
+# --- 4: warm-start invisibility — every committed figure rerun with
 # warm-seeded fixed points, against the committed .txt and the cold store
 # step 1 left in $tmp (the five replay-only figures render from fig14's
 # store, so its cmp covers them); then a warm mini at GOMAXPROCS 1 and
