@@ -215,7 +215,7 @@ func run(args []string, w io.Writer) error {
 		RecordTimings:    *recTimings,
 		RecordSimCounts:  *recStats,
 	}
-	// Telemetry rides outside the ordered-commit turnstile, so enabling any
+	// Telemetry never touches the sweep's ordered commits, so enabling any
 	// of this changes no figure output. A plain run leaves these fields nil
 	// and the sweep on its zero-cost path.
 	var tracer *obs.PipelineTracer

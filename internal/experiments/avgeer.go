@@ -61,8 +61,7 @@ func AvgEERStudy(p Params) (*AvgEERResult, error) {
 
 func runAvgEER(p Params, res *AvgEERResult) error {
 	p = p.withDefaults()
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
+	err := sweep(p, "avgeer", res, func(w *worker, cfg workload.Config) error {
 		sc, ok := w.scratch.(*avgeerScratch)
 		if !ok {
 			sc = &avgeerScratch{
@@ -74,25 +73,21 @@ func runAvgEER(p Params, res *AvgEERResult) error {
 			}
 			w.scratch = sc
 		}
-		w.beginUnit("avgeer", cfg, rec)
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if !fillPMBounds(sc.bounds, w.an.AnalyzePM()) {
 			w.lap(phaseAnalyze)
 			w.noteSchedulable(false)
 			w.rec.AddVerdict("pm", false)
 			w.rec.AddTally("skipped", 1)
-			commitRecord(&p, w, rec, res, &firstErr)
-			return
+			return nil
 		}
 		w.lap(phaseAnalyze)
 		w.noteSchedulable(true)
@@ -102,28 +97,24 @@ func runAvgEER(p Params, res *AvgEERResult) error {
 		// Each run's Outcome is invalidated by the next, so every run is
 		// snapshotted into the worker's retained Metrics before the next.
 		if err := runSnapshot(w, &sc.ds, sc.dsP, sys, horizon, cfg); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if err := runSnapshot(w, &sc.pm, sc.pmP, sys, horizon, cfg); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if err := runSnapshot(w, &sc.rg, sc.rgP, sys, horizon, cfg); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if err := runSnapshot(w, &sc.rg1, sc.rg1P, sys, horizon, cfg); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseSimulate)
 
 		fillAvgEERObs(&w.rec, sys, &sc.ds, &sc.pm, &sc.rg, &sc.rg1)
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("average-EER study: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("average-EER study: %w", err)
 	}
 	return nil
 }

@@ -47,34 +47,28 @@ func EDFStudy(p Params) (*EDFResult, error) {
 
 func runEDF(p Params, res *EDFResult) error {
 	p = p.withDefaults()
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
+	err := sweep(p, "edf", res, func(w *worker, cfg workload.Config) error {
 		sc, ok := w.scratch.(*edfScratch)
 		if !ok {
 			sc = &edfScratch{rgP: sim.NewRG()}
 			w.scratch = sc
 		}
-		w.beginUnit("edf", cfg, rec)
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if err := priority.AssignLocalDeadlines(sys, priority.ProportionalSlice); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		pmRes := w.an.AnalyzePM()
 		edfRes, err := analysis.AnalyzeEDF(sys, p.Analysis)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		fpOK, edfOK := 0.0, 0.0
 		if pmRes.AllSchedulable(sys) {
@@ -90,14 +84,12 @@ func runEDF(p Params, res *EDFResult) error {
 		horizon := model.Time(int64(sys.MaxPeriod()) * p.HorizonPeriods)
 		fpOut, err := w.sim.Run(sys, sim.Config{Protocol: sc.rgP, Horizon: horizon})
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		sc.fp.CopyFrom(fpOut.Metrics)
 		edfOut, err := w.sim.Run(sys, sim.Config{Protocol: sc.rgP, Scheduler: sim.EDF, Horizon: horizon})
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		sc.edf.CopyFrom(edfOut.Metrics)
 		w.lap(phaseSimulate)
@@ -116,10 +108,10 @@ func runEDF(p Params, res *EDFResult) error {
 			}
 			w.rec.AddObs("eer_edf_fp", sc.edf.Tasks[i].AvgEER()/den)
 		}
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("EDF study: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("EDF study: %w", err)
 	}
 	return nil
 }

@@ -59,8 +59,7 @@ func runExecVariation(p Params, fractions []float64, res *ExecVariationResult) e
 			return fmt.Errorf("exec-variation study: fraction %v outside (0, 1]", f)
 		}
 	}
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
+	err := sweep(p, "execvar", res, func(w *worker, cfg workload.Config) error {
 		sc, ok := w.scratch.(*execvarScratch)
 		if !ok {
 			sc = &execvarScratch{
@@ -75,31 +74,27 @@ func runExecVariation(p Params, fractions []float64, res *ExecVariationResult) e
 			sc.demandFn = sc.demand.sample
 			w.scratch = sc
 		}
-		w.beginUnit("execvar", cfg, rec)
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if !fillPMBounds(sc.bounds, w.an.AnalyzePM()) {
 			// Skip: PM not runnable. The record still commits (verdict
 			// only) so the store accounts for every swept system.
 			w.lap(phaseAnalyze)
 			w.rec.AddVerdict("pm", false)
-			commitRecord(&p, w, rec, res, &firstErr)
-			return
+			return nil
 		}
 		w.lap(phaseAnalyze)
 		sc.pmP.SetBounds(sc.bounds)
 		horizon := model.Time(int64(sys.MaxPeriod()) * p.HorizonPeriods)
 
-		// All fractions simulate before the commit, so the per-fraction
-		// ratios buffer in retained slices until commitRecord.
+		// All fractions simulate before the record is filled, so the
+		// per-fraction ratios buffer in retained slices until then.
 		sc.demand.sys = sys
 		sc.demand.seed = cfg.Seed
 		for fi, f := range fractions {
@@ -107,16 +102,13 @@ func runExecVariation(p Params, fractions []float64, res *ExecVariationResult) e
 			sc.pmds[fi] = sc.pmds[fi][:0]
 			sc.rgds[fi] = sc.rgds[fi][:0]
 			if err := runVariedInto(w, &sc.ds, sc.dsP, sys, horizon, sc.demandFn); err != nil {
-				recordErr(rec, &firstErr, err)
-				return
+				return err
 			}
 			if err := runVariedInto(w, &sc.pm, sc.pmP, sys, horizon, sc.demandFn); err != nil {
-				recordErr(rec, &firstErr, err)
-				return
+				return err
 			}
 			if err := runVariedInto(w, &sc.rg, sc.rgP, sys, horizon, sc.demandFn); err != nil {
-				recordErr(rec, &firstErr, err)
-				return
+				return err
 			}
 			for i := range sys.Tasks {
 				if sc.ds.Tasks[i].Completed == 0 || sc.ds.Tasks[i].AvgEER() <= 0 {
@@ -140,10 +132,10 @@ func runExecVariation(p Params, fractions []float64, res *ExecVariationResult) e
 				w.rec.AddObsP("rg_ds", f, v)
 			}
 		}
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("exec-variation study: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("exec-variation study: %w", err)
 	}
 	return nil
 }

@@ -374,30 +374,39 @@ func TestSensitivityStudyRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestSweepsPropagateGenerationErrors runs every swept study over a grid
+// whose valid first config is followed by two invalid configs that fail
+// with different messages. Whatever order the workers finish in, each
+// study must return the first bad config's error, the first in unit order.
 func TestSweepsPropagateGenerationErrors(t *testing.T) {
-	bad := workload.DefaultConfig(3, 0.5)
-	bad.PeriodMean = -1 // invalid: Generate fails
-	p := Params{Configs: []workload.Config{bad}, SystemsPerConfig: 2, HorizonPeriods: 5}
-	if _, err := Fig12FailureRate(p); err == nil {
-		t.Error("Fig12 swallowed a generation error")
+	badMean := workload.DefaultConfig(3, 0.5)
+	badMean.PeriodMean = -1 // Generate fails: period mean not positive
+	badTick := workload.DefaultConfig(3, 0.6)
+	badTick.TickScale = 0 // Generate fails: tick scale below 1
+	configs := []workload.Config{workload.DefaultConfig(2, 0.5), badMean, badTick}
+	studies := []struct {
+		name string
+		run  func(Params) error
+	}{
+		{"Fig12FailureRate", func(p Params) error { _, err := Fig12FailureRate(p); return err }},
+		{"Fig13BoundRatio", func(p Params) error { _, err := Fig13BoundRatio(p); return err }},
+		{"AvgEERStudy", func(p Params) error { _, err := AvgEERStudy(p); return err }},
+		{"ReleaseJitterStudy", func(p Params) error { _, err := ReleaseJitterStudy(p, 0.5); return err }},
+		{"EDFStudy", func(p Params) error { _, err := EDFStudy(p); return err }},
+		{"ExecVariationStudy", func(p Params) error { _, err := ExecVariationStudy(p, []float64{1.0}); return err }},
+		{"LockingStudy", func(p Params) error { _, err := LockingStudy(p); return err }},
 	}
-	if _, err := Fig13BoundRatio(p); err == nil {
-		t.Error("Fig13 swallowed a generation error")
-	}
-	if _, err := AvgEERStudy(p); err == nil {
-		t.Error("AvgEERStudy swallowed a generation error")
-	}
-	if _, err := ReleaseJitterStudy(p, 0.5); err == nil {
-		t.Error("ReleaseJitterStudy swallowed a generation error")
-	}
-	if _, err := EDFStudy(p); err == nil {
-		t.Error("EDFStudy swallowed a generation error")
-	}
-	if _, err := ExecVariationStudy(p, []float64{1.0}); err == nil {
-		t.Error("ExecVariationStudy swallowed a generation error")
-	}
-	if _, err := LockingStudy(p); err == nil {
-		t.Error("LockingStudy swallowed a generation error")
+	for _, par := range []int{1, 4} {
+		p := Params{Configs: configs, SystemsPerConfig: 2, HorizonPeriods: 5, Parallelism: par}
+		for _, st := range studies {
+			err := st.run(p)
+			switch {
+			case err == nil:
+				t.Errorf("parallelism %d: %s swallowed a generation error", par, st.name)
+			case !strings.Contains(err.Error(), "period mean -1 is not positive"):
+				t.Errorf("parallelism %d: %s returned %q, want the first bad config's error", par, st.name, err)
+			}
+		}
 	}
 }
 

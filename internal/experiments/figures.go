@@ -38,18 +38,14 @@ func runFig12(p Params, res *FailureRateResult) error {
 	// Only Failed() matters here, so SA/DS may stop at the first
 	// infinite bound.
 	p.Analysis.StopOnFailure = true
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
-		w.beginUnit("fig12", cfg, rec)
+	err := sweep(p, "fig12", res, func(w *worker, cfg workload.Config) error {
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		failed := 0.0
 		if w.an.AnalyzeDS().Failed() {
@@ -59,10 +55,10 @@ func runFig12(p Params, res *FailureRateResult) error {
 		w.noteSchedulable(failed == 0)
 		w.rec.AddVerdict("ds", failed == 0)
 		w.rec.AddObs("failed", failed)
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("figure 12: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("figure 12: %w", err)
 	}
 	return nil
 }
@@ -126,22 +122,16 @@ func Fig13BoundRatio(p Params) (*BoundRatioResult, error) {
 
 func runFig13(p Params, res *BoundRatioResult) error {
 	p = p.withDefaults()
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
-		w.beginUnit("fig13", cfg, rec)
+	err := sweep(p, "fig13", res, func(w *worker, cfg workload.Config) error {
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 		// One Reset serves all three analyses: each Analyze method owns a
-		// distinct Result, so ds/pm/hol stay valid side by side — and
-		// stay readable after rec.Begin(), since only this worker touches
-		// its analyzer.
+		// distinct Result, so ds/pm/hol stay valid side by side.
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		ds := w.an.AnalyzeDS()
 		w.noteSchedulable(!ds.Failed())
@@ -149,8 +139,7 @@ func runFig13(p Params, res *BoundRatioResult) error {
 			w.lap(phaseAnalyze)
 			w.rec.AddVerdict("ds", false)
 			w.rec.AddTally("total", 1)
-			commitRecord(&p, w, rec, res, &firstErr)
-			return
+			return nil
 		}
 		pm := w.an.AnalyzePM()
 		hol := w.an.AnalyzeHolistic()
@@ -167,10 +156,10 @@ func runFig13(p Params, res *BoundRatioResult) error {
 				w.rec.AddObs("hol_ratio", float64(hol.TaskEER[i])/float64(pm.TaskEER[i]))
 			}
 		}
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("figure 13: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("figure 13: %w", err)
 	}
 	return nil
 }

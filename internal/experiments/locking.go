@@ -99,18 +99,14 @@ func runLocking(p Params, protocols []string, res *LockingResult) error {
 		cfgs[i] = lockingConfig(c)
 	}
 	p.Configs = cfgs
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
-		w.beginUnit("locking", cfg, rec)
+	err := sweep(p, "locking", res, func(w *worker, cfg workload.Config) error {
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		mpcpOK, dpcpOK, hlOK := 0.0, 0.0, 0.0
 		if wantMPCP && w.an.AnalyzeMPCP().AllSchedulable(sys) {
@@ -122,8 +118,7 @@ func runLocking(p Params, protocols []string, res *LockingResult) error {
 		if wantHL {
 			centralizeSharers(sys)
 			if err := w.an.Reset(sys, p.Analysis); err != nil {
-				recordErr(rec, &firstErr, err)
-				return
+				return err
 			}
 			if w.an.AnalyzeDS().AllSchedulable(sys) {
 				hlOK = 1
@@ -143,10 +138,10 @@ func runLocking(p Params, protocols []string, res *LockingResult) error {
 			w.rec.AddVerdict("dpcp", dpcpOK == 1)
 			w.rec.AddObs("dpcp", dpcpOK)
 		}
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("locking study: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("locking study: %w", err)
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 // TestSweepObservabilityDeterminism pins the tentpole's no-perturbation
 // guarantee: attaching live telemetry (Progress + Stats) to a parallel
 // sweep leaves every figure bit-identical — the telemetry writes only
-// worker-private shards and shared atomics, never the turnstile-ordered
-// result state.
+// worker-private shards and shared atomics, never the committed result
+// state.
 func TestSweepObservabilityDeterminism(t *testing.T) {
 	base := benchSweepParams()
 	base.SystemsPerConfig = 6

@@ -13,6 +13,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rtsync/internal/analysis"
@@ -46,9 +47,9 @@ type Params struct {
 	Analysis analysis.Options
 	// Progress, when non-nil, receives live sweep telemetry: per-cell
 	// wall time, units done, schedulable tallies, and the current cell.
-	// Workers write through private shards, so attaching it changes no
-	// figure output (the ordered-commit turnstile is untouched) and adds
-	// nothing to the per-system steady-state allocation count.
+	// Workers write through private shards, never the commit window, so
+	// attaching it changes no figure output and adds nothing to the
+	// per-system steady-state allocation count.
 	Progress *obs.SweepProgress
 	// Stats, when non-nil, is attached to every worker's simulation
 	// Runner, aggregating engine counters across the whole sweep. Shared
@@ -61,16 +62,17 @@ type Params struct {
 	AnalysisStats *obs.AnalysisStats
 	// Trace, when non-nil, records pipeline spans — one per swept unit
 	// with generate/analyze/simulate/commit children, plus worker
-	// lifetimes and turnstile waits — into per-worker arenas for Perfetto
-	// export. Workers write only their private arenas, outside the
-	// turnstile, so tracing changes no figure output and no record store
-	// byte; nil keeps every hook on the zero-cost nil-check path.
+	// lifetimes and waits to enter the commit window ("turnstile-wait") —
+	// into per-worker arenas for Perfetto export. Workers write only their
+	// private arenas, never the committed results, so tracing changes no
+	// figure output and no record store byte; nil keeps every hook on the
+	// zero-cost nil-check path.
 	Trace *obs.PipelineTracer
 	// Records, when non-nil, receives one CellRecord per swept system in
-	// deterministic global unit order (the turnstile serializes writes),
-	// so a JSONL store written here is byte-identical at any Parallelism.
-	// nil skips record encoding entirely — the default zero-cost path the
-	// steady-state allocation tests pin.
+	// deterministic global unit order (the commit window serializes
+	// writes), so a JSONL store written here is byte-identical at any
+	// Parallelism. nil skips record encoding entirely — the default
+	// zero-cost path the steady-state allocation tests pin.
 	Records RecordSink
 	// RecordTimings adds per-phase wall timings (generate / analyze /
 	// simulate) to each record. Timings are volatile, so stores meant to
@@ -82,9 +84,10 @@ type Params struct {
 	RecordSimCounts bool
 }
 
-// RecordSink receives committed sweep records. Write is always called from
-// inside the ordered-commit turnstile — single-threaded, in global unit
-// order — and must not retain the record past the call.
+// RecordSink receives committed sweep records. Write is called from
+// whichever worker drains the commit window, under the window's lock: one
+// call at a time, in global unit order. It must not retain the record past
+// the call.
 type RecordSink interface {
 	Write(*record.CellRecord) error
 }
@@ -200,13 +203,15 @@ type worker struct {
 	// runs without Params.Progress.
 	prog *obs.SweepShard
 
-	// rec is the worker's retained record scratch, refilled by beginUnit
-	// and committed through commitRecord; timing and counts are the
-	// retained backing values for its optional sections. recStats is the
-	// worker-private counter bank used when Params.RecordSimCounts asks
-	// for exact per-unit engine deltas (base is the unit-start snapshot);
-	// it is merged into the sweep-wide bank when the worker drains.
+	// rec is the worker's retained record scratch for curUnit, the global
+	// unit in progress: refilled by beginUnit and deposited into the
+	// sweep's commit window. timing and counts are the retained backing
+	// values for its optional sections. recStats is the worker-private
+	// counter bank used when Params.RecordSimCounts asks for exact
+	// per-unit engine deltas (base is the unit-start snapshot); it is
+	// merged into the sweep-wide bank when the worker drains.
 	rec      record.CellRecord
+	curUnit  int64
 	timing   record.Timing
 	counts   record.SimCounts
 	timings  bool
@@ -216,12 +221,11 @@ type worker struct {
 
 	// spans is this worker's private span arena, nil when the sweep runs
 	// without Params.Trace. spanT0 is the running phase-boundary clock
-	// (lap closes a phase span against it); curCell and curUnit tag the
-	// spans with the worker's current cell label index and global unit.
+	// (lap closes a phase span against it); curCell tags the spans with
+	// the worker's current cell label index.
 	spans   *obs.SpanArena
 	spanT0  int64
 	curCell int32
-	curUnit int64
 }
 
 // phase names one pipeline phase for lap: it selects both the per-record
@@ -246,97 +250,22 @@ func (w *worker) noteSchedulable(ok bool) {
 	}
 }
 
-// unit is one sweep work item: system k of configuration ci, committed at
-// global order g = ci*SystemsPerConfig + k.
-type unit struct {
-	ci, k int
-	g     int64
-}
-
-// gate is an ordered-commit turnstile: enter(g) blocks until every unit
-// before g has left, so commits apply in global unit order no matter how
-// the worker pool interleaves. The mutex hand-off in enter/leave also
-// publishes unit g's writes to unit g+1's worker.
-type gate struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	next int64
-}
-
-func newGate() *gate {
-	g := &gate{}
-	g.cond.L = &g.mu
-	return g
-}
-
-func (g *gate) enter(unit int64) {
-	g.mu.Lock()
-	for g.next != unit {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-func (g *gate) leave() {
-	g.mu.Lock()
-	g.next++
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// Recorder gates one unit's result commit. Begin blocks until every
-// earlier unit has committed; from then until the unit function returns,
-// the study owns the shared result state exclusively and mutates it
-// directly (no per-unit closures, no observation slices). Begin is
-// idempotent, and sweep itself calls it after the unit function returns,
-// so units that record nothing still take their turn and the turnstile
-// never stalls.
-type Recorder struct {
-	g       *gate
-	unit    int64
-	entered bool
-
-	// spans/label mirror the owning worker's arena and current cell when
-	// pipeline tracing is on: Begin then records the time spent blocked in
-	// the turnstile as a turnstile-wait span. Both stay zero-valued (and
-	// cost one branch) otherwise.
-	spans *obs.SpanArena
-	label int32
-}
-
-// Begin claims this unit's commit turn (see Recorder).
-func (r *Recorder) Begin() {
-	if !r.entered {
-		r.entered = true
-		if r.spans != nil {
-			t0 := r.spans.Clock()
-			r.g.enter(r.unit)
-			r.spans.Record(obs.SpanTurnstileWait, t0, r.spans.Clock(), r.label, r.unit)
-			return
-		}
-		r.g.enter(r.unit)
-	}
-}
-
-// recordErr claims the unit's commit turn and records the sweep's first
-// error — "first" in deterministic global unit order, not completion order.
-func recordErr(rec *Recorder, firstErr *error, err error) {
-	rec.Begin()
-	if *firstErr == nil {
-		*firstErr = err
-	}
-}
-
-// sweep runs fn once per (config, system index) pair across a worker pool.
-// fn receives the per-worker pipeline (Generator + Runner + Analyzer,
-// recycled across the worker's whole share so the steady state allocates
-// nothing per system), the configuration with the per-system seed already
-// installed, and a Recorder.
+// sweep runs fn once per (config, system index) pair across a worker pool
+// and returns the first error in global unit order. fn receives the
+// per-worker pipeline (Generator + Runner + Analyzer, recycled across the
+// worker's whole share so the steady state allocates nothing per system)
+// and the configuration with the per-system seed already installed. fn
+// fills w.rec, which sweep has already reset for the unit and tagged with
+// study. When fn returns nil, sweep seals the record and commits it into
+// view and Params.Records; when fn returns an error, the unit commits that
+// error instead.
 //
-// Results are committed in global unit order (config-major, then system
-// index) via the Recorder's turnstile, so every figure — including the
-// order-sensitive floating-point accumulations — is bit-identical across
-// Parallelism settings, and matches a fully sequential run.
+// Workers claim units in global order (config-major, then system index)
+// from one atomic counter and commit through a commitWindow, so every
+// figure — including the order-sensitive floating-point accumulations —
+// and every record store is bit-identical across Parallelism settings, and
+// matches a fully sequential run. A worker waits only when its unit is a
+// whole window ahead of the oldest unfinished one.
 //
 // The analyzer arrives un-Reset: fn must Reset it for each system before
 // calling its Analyze methods, and must not retain their Results past the
@@ -350,10 +279,10 @@ func recordErr(rec *Recorder, firstErr *error, err error) {
 //
 // With Params.Progress set, each worker additionally times every unit into
 // its private telemetry shard and announces config-boundary crossings as
-// the "current cell". All of that happens outside the turnstile and writes
-// only worker-private or atomic state: figure output stays byte-identical
+// the "current cell". All of that writes only worker-private or atomic
+// state, never the committed results: figure output stays byte-identical
 // with telemetry on or off, at any Parallelism.
-func sweep(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)) {
+func sweep(p Params, study string, view View, fn func(w *worker, cfg workload.Config) error) error {
 	bg := context.Background()
 	labels := make([]context.Context, len(p.Configs))
 	cellLabels := make([]string, len(p.Configs))
@@ -369,8 +298,11 @@ func sweep(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)) {
 	if p.Trace != nil {
 		labelBase = p.Trace.RegisterLabels(cellLabels)
 	}
-	units := make(chan unit)
-	gt := newGate()
+	units := len(p.Configs) * p.SystemsPerConfig
+	// A window longer than the sweep would never use its extra slots.
+	win := newCommitWindow(min(slotsPerWorker*p.Parallelism, units), view, p.Records)
+	perConfig, total := int64(p.SystemsPerConfig), int64(units)
+	var claimed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < p.Parallelism; i++ {
 		wg.Add(1)
@@ -390,53 +322,46 @@ func sweep(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)) {
 			if run != nil {
 				w.prog = run.Shard(wi)
 			}
-			rec := Recorder{g: gt}
 			var wt0 int64
 			if p.Trace != nil {
 				// The arena is retained per worker index, so successive
 				// sweeps of one run accumulate onto the same track.
 				w.spans = p.Trace.Arena(wi)
 				w.sim.Spans = w.spans
-				rec.spans = w.spans
 				wt0 = w.spans.Clock()
 			}
 			lastCI := -1
-			for u := range units {
-				if u.ci != lastCI {
-					pprof.SetGoroutineLabels(labels[u.ci])
+			for g := claimed.Add(1) - 1; g < total; g = claimed.Add(1) - 1 {
+				ci, k := int(g/perConfig), int(g%perConfig)
+				if ci != lastCI {
+					pprof.SetGoroutineLabels(labels[ci])
 					if p.Progress != nil {
-						p.Progress.SetCurrent(&cellLabels[u.ci])
+						p.Progress.SetCurrent(&cellLabels[ci])
 					}
 					if w.spans != nil {
-						w.curCell = labelBase + int32(u.ci)
+						w.curCell = labelBase + int32(ci)
 						w.sim.SpanLabel = w.curCell
-						rec.label = w.curCell
 					}
-					lastCI = u.ci
+					lastCI = ci
 				}
-				c := p.Configs[u.ci]
-				c.Seed = p.systemSeed(u.ci, u.k)
-				rec.unit, rec.entered = u.g, false
+				c := p.Configs[ci]
+				c.Seed = p.systemSeed(ci, k)
 				var ut0 int64
 				if w.spans != nil {
 					ut0 = w.spans.Clock()
 				}
+				var t0 time.Time
 				if w.prog != nil {
-					// Cell wall time covers fn itself; any turnstile wait
-					// inside fn's own Begin is part of it, but the
-					// fallback Begin below is not.
-					t0 := time.Now()
-					fn(&w, c, &rec)
-					w.prog.UnitDone(u.ci, time.Since(t0))
-				} else {
-					fn(&w, c, &rec)
+					t0 = time.Now()
 				}
-				rec.Begin() // take the turn even when fn recorded nothing
-				gt.leave()
+				w.beginUnit(study, c, g)
+				w.deposit(win, fn(&w, c))
+				if w.prog != nil {
+					// Cell wall time covers the unit and its commit.
+					w.prog.UnitDone(ci, time.Since(t0))
+				}
 				if w.spans != nil {
-					// The unit span closes after the turn is released, so
-					// it covers the commit (and any turnstile wait) too.
-					w.spans.Record(obs.SpanUnit, ut0, w.spans.Clock(), w.curCell, u.g)
+					w.spans.Record(obs.SpanUnit, ut0, w.spans.Clock(), w.curCell, g)
 				}
 			}
 			if w.spans != nil {
@@ -448,13 +373,6 @@ func sweep(p Params, fn func(w *worker, cfg workload.Config, rec *Recorder)) {
 			pprof.SetGoroutineLabels(bg)
 		}(i)
 	}
-	g := int64(0)
-	for ci := range p.Configs {
-		for k := 0; k < p.SystemsPerConfig; k++ {
-			units <- unit{ci: ci, k: k, g: g}
-			g++
-		}
-	}
-	close(units)
 	wg.Wait()
+	return win.err
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -31,7 +32,7 @@ func benchSweepParams() Params {
 	}
 }
 
-// TestSweepDeterminism checks the ordered-commit turnstile: for a fixed
+// TestSweepDeterminism checks the ordered commit window: for a fixed
 // Params.Seed, figure-runner output is bit-identical (reflect.DeepEqual
 // over the float accumulators, not approximate) across Parallelism
 // settings, including the fully sequential run.
@@ -75,7 +76,7 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepJSONLDeterminism checks the result store end of the turnstile:
+// TestSweepJSONLDeterminism checks the result store end of the window:
 // the JSONL byte stream a sweep writes is identical at any Parallelism, and
 // replaying it through a fresh view reproduces the live result bit-for-bit.
 func TestSweepJSONLDeterminism(t *testing.T) {
@@ -141,8 +142,9 @@ func TestSweepSteadyStateZeroAllocs(t *testing.T) {
 	t.Run("stats-off", func(t *testing.T) { testSweepZeroAllocs(t, nil, false) })
 	t.Run("stats-on", func(t *testing.T) { testSweepZeroAllocs(t, obs.NewSimStats(), false) })
 	// With the record path active but no sink attached (the default for
-	// plain figure runs), filling the retained record and folding it into
-	// the view must stay allocation-free too.
+	// plain figure runs), filling the retained record and committing it
+	// through the commit window — including a deep copy into a slot —
+	// must stay allocation-free too.
 	t.Run("record-fill", func(t *testing.T) { testSweepZeroAllocs(t, nil, true) })
 }
 
@@ -155,7 +157,8 @@ func testSweepZeroAllocs(t *testing.T, st *obs.SimStats, records bool) {
 	dsP := sim.NewDS()
 	pmP := sim.NewPM(nil)
 	var ds, pm sim.Metrics
-	view := NewAvgEERResult()
+	win := newCommitWindow(2, NewAvgEERResult(), nil)
+	committed := int64(0)
 
 	// Rotate over a fixed seed set so the measured runs retrace warmed
 	// capacities instead of growing them.
@@ -193,9 +196,10 @@ func testSweepZeroAllocs(t *testing.T, st *obs.SimStats, records bool) {
 		pm.CopyFrom(out.Metrics)
 		if records {
 			// The live record path minus the sink: refill the worker's
-			// retained record with the study's real helpers and fold it
-			// into the view, exactly what commitRecord does when
-			// Params.Records is nil.
+			// retained record with the study's real helpers and commit it
+			// through the window twice — first as the unit after the
+			// frontier, which parks a deep copy in its slot, then as the
+			// frontier, which is applied in place and drains the slot.
 			w.rec.Reset("avgeer", cfg)
 			w.rec.AddVerdict("pm", true)
 			for i := range sys.Tasks {
@@ -203,8 +207,11 @@ func testSweepZeroAllocs(t *testing.T, st *obs.SimStats, records bool) {
 				addJitterObs(&w.rec, "jit_pm", &pm, i, float64(sys.Tasks[i].Period))
 				addEERObs(&w.rec, "eer_ds", &ds, i)
 			}
-			if err := view.Apply(&w.rec); err != nil {
-				unitErr = err
+			win.deposit(committed+1, &w.rec, nil, nil)
+			win.deposit(committed, &w.rec, nil, nil)
+			committed += 2
+			if win.err != nil || win.next != committed {
+				unitErr = fmt.Errorf("window committed %d of %d units (err %v)", win.next, committed, win.err)
 			}
 		}
 	}
@@ -241,7 +248,7 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkSweepJSONL is BenchmarkSweep with the JSONL result store
 // attached (sink: io.Discard); the delta against BenchmarkSweep is the full
-// record-store overhead — encode, content hash, turnstile-serialized write —
+// record-store overhead — encode, content hash, window-serialized write —
 // for 16 swept systems.
 func BenchmarkSweepJSONL(b *testing.B) {
 	p := benchSweepParams()
@@ -279,6 +286,43 @@ func BenchmarkSweepParallelScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := AvgEERStudy(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSweepAnalysisScaling is BenchmarkSweepParallelScaling for an
+// analysis-bound study: the locking study (MPCP, DPCP and centralized HL
+// per system) over N in {2, 3} x U 0.5-0.9 at 8 systems per cell, 80 units.
+// Its per-unit costs are heavy-tailed, so a slow unit delays the commits of
+// every later one; the gap between gomaxprocs=1 and 2 shows how much of
+// that the commit window absorbs.
+func BenchmarkSweepAnalysisScaling(b *testing.B) {
+	var configs []workload.Config
+	for _, n := range []int{2, 3} {
+		for _, u := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
+			configs = append(configs, workload.DefaultConfig(n, u))
+		}
+	}
+	gomax := []struct {
+		name string
+		n    int
+	}{
+		{"gomaxprocs=1", 1},
+		{"gomaxprocs=2", 2},
+		{"gomaxprocs=max", runtime.GOMAXPROCS(0)},
+	}
+	for _, gm := range gomax {
+		b.Run(gm.name, func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(gm.n)
+			defer runtime.GOMAXPROCS(prev)
+			p := Params{Configs: configs, SystemsPerConfig: 8, Seed: 1, Parallelism: gm.n}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := LockingStudy(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -69,8 +69,7 @@ func runReleaseJitter(p Params, jitterFraction float64, res *ReleaseJitterResult
 	if jitterFraction < 0 {
 		return fmt.Errorf("release-jitter study: negative jitter fraction %v", jitterFraction)
 	}
-	var firstErr error
-	sweep(p, func(w *worker, cfg workload.Config, rec *Recorder) {
+	err := sweep(p, "release-jitter", res, func(w *worker, cfg workload.Config) error {
 		sc, ok := w.scratch.(*jitterScratch)
 		if !ok {
 			sc = &jitterScratch{bounds: make(sim.Bounds)}
@@ -80,23 +79,19 @@ func runReleaseJitter(p Params, jitterFraction float64, res *ReleaseJitterResult
 			sc.protocols = [4]sim.Protocol{sim.NewDS(), sim.NewPM(nil), sim.NewMPM(nil), sim.NewRG()}
 			w.scratch = sc
 		}
-		w.beginUnit("release-jitter", cfg, rec)
 		sys, err := w.gen.Generate(cfg)
 		if err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		w.lap(phaseGenerate)
 		if err := w.an.Reset(sys, p.Analysis); err != nil {
-			recordErr(rec, &firstErr, err)
-			return
+			return err
 		}
 		if !fillPMBounds(sc.bounds, w.an.AnalyzePM()) {
 			w.lap(phaseAnalyze)
 			w.rec.AddVerdict("pm", false)
 			w.rec.AddObsP(jitterSkippedSeries, jitterFraction, 1)
-			commitRecord(&p, w, rec, res, &firstErr)
-			return
+			return nil
 		}
 		w.lap(phaseAnalyze)
 		sc.protocols[1].(*sim.PM).SetBounds(sc.bounds)
@@ -114,8 +109,7 @@ func runReleaseJitter(p Params, jitterFraction float64, res *ReleaseJitterResult
 				FirstReleaseDelay: sc.delayFn,
 			})
 			if err != nil {
-				recordErr(rec, &firstErr, fmt.Errorf("%s: %w", jitterProtoNames[pi], err))
-				return
+				return fmt.Errorf("%s: %w", jitterProtoNames[pi], err)
 			}
 			sc.vios[pi] = out.Metrics.PrecedenceViolations
 		}
@@ -127,10 +121,10 @@ func runReleaseJitter(p Params, jitterFraction float64, res *ReleaseJitterResult
 				w.rec.AddObsP(jitterHasVioSeries[pi], jitterFraction, 1)
 			}
 		}
-		commitRecord(&p, w, rec, res, &firstErr)
+		return nil
 	})
-	if firstErr != nil {
-		return fmt.Errorf("release-jitter study: %w", firstErr)
+	if err != nil {
+		return fmt.Errorf("release-jitter study: %w", err)
 	}
 	return nil
 }

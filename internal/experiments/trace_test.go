@@ -17,8 +17,9 @@ import (
 // guarantee for span tracing: attaching a PipelineTracer (with a live
 // counter sampler) leaves the study results AND the JSONL record store
 // byte-identical at every Parallelism, because span hooks write only
-// worker-private arenas outside the ordered-commit turnstile. The traced runs must also actually produce a trace: per-unit
-// spans covering the whole sweep and a Perfetto export that parses.
+// worker-private arenas, never the committed results. The traced runs must
+// also actually produce a trace: per-unit spans covering the whole sweep
+// and a Perfetto export that parses.
 func TestSweepPipelineTraceDeterminism(t *testing.T) {
 	base := benchSweepParams()
 	base.SystemsPerConfig = 4
@@ -113,26 +114,27 @@ func TestSweepPipelineTraceDeterminism(t *testing.T) {
 
 // TestSpanDisabledZeroAllocs pins the tracing-off contract at the hook
 // level: with a nil span arena, the per-unit hook sequence — beginUnit, the
-// three phase laps, and the turnstile turn — allocates nothing, so a plain
-// sweep keeps its zero-allocs-per-system steady state (which
-// TestSweepSteadyStateZeroAllocs pins end to end).
+// three phase laps, and the deposit into the commit window — allocates
+// nothing, so a plain sweep keeps its zero-allocs-per-system steady state
+// (which TestSweepSteadyStateZeroAllocs pins end to end).
 func TestSpanDisabledZeroAllocs(t *testing.T) {
 	var w worker
 	cfg := workload.DefaultConfig(3, 0.5)
-	rec := Recorder{g: newGate()}
+	win := newCommitWindow(1, NewFailureRateResult(), nil)
 	unitNo := int64(0)
 	cycle := func() {
-		rec.unit, rec.entered = unitNo, false
-		w.beginUnit("trace-test", cfg, &rec)
+		w.beginUnit("trace-test", cfg, unitNo)
 		w.lap(phaseGenerate)
 		w.lap(phaseAnalyze)
 		w.lap(phaseSimulate)
-		rec.Begin()
-		rec.g.leave()
+		w.deposit(win, nil)
 		unitNo++
 	}
 	cycle() // warm the retained record's string fields
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("tracing-off unit hooks allocate %.2f times per unit, want 0", avg)
+	}
+	if win.next != unitNo || win.err != nil {
+		t.Fatalf("window committed %d of %d units (err %v)", win.next, unitNo, win.err)
 	}
 }

@@ -191,7 +191,7 @@ func (s SweepSnapshot) Line() string {
 // StartReporter prints a one-line status to w every interval until the
 // returned stop function is called; stop prints one final line. The
 // reporter only reads atomics, so it never perturbs sweep workers or the
-// deterministic ordered-commit turnstile.
+// deterministic ordered commits.
 func (sp *SweepProgress) StartReporter(w io.Writer, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 2 * time.Second

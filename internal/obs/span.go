@@ -17,9 +17,10 @@ const (
 	// SpanUnit is one swept unit end to end (generate through commit).
 	SpanUnit
 	// SpanGenerate, SpanAnalyze, and SpanSimulate are a unit's pipeline
-	// phases; SpanCommit is the ordered-commit turn (view fold + sink
-	// write), and SpanTurnstileWait the portion of it spent blocked
-	// waiting for earlier units to commit.
+	// phases. SpanTurnstileWait is the time the unit then waited to enter
+	// the ordered commit window (for its lock, or for room when full), and
+	// SpanCommit the deposit into the window plus any drain it led (view
+	// folds + sink writes, in unit order).
 	SpanGenerate
 	SpanAnalyze
 	SpanSimulate
@@ -66,10 +67,10 @@ type spanRec struct {
 // (loadable in ui.perfetto.dev).
 //
 // The design contract matches the rest of obs: disabled is free (every
-// hook is a nil check on a concrete *SpanArena), and enabled stays off the
-// turnstile — workers append fixed-size records into retained worker-
-// private arenas, so tracing changes no figure output and no record store
-// byte. Arenas are merged only at export time, after the sweep drains.
+// hook is a nil check on a concrete *SpanArena), and enabled stays out of
+// the ordered commit path — workers append fixed-size records into
+// retained worker-private arenas, so tracing changes no figure output and
+// no record store byte. Arenas are merged only at export time, after the sweep drains.
 type PipelineTracer struct {
 	epoch time.Time
 
@@ -193,8 +194,9 @@ type SpanPhaseSummary struct {
 
 // SpanSummary is the compact "where did the time go" digest embedded in
 // run manifests: per-phase span counts with total and maximum wall time.
-// The turnstile-wait phase totals the time workers spent blocked on the
-// ordered-commit turnstile.
+// The turnstile-wait phase totals the time workers waited to enter the
+// ordered commit window; the commit phase totals deposits and the drains
+// they led.
 type SpanSummary struct {
 	Spans  int64              `json:"spans"`
 	Phases []SpanPhaseSummary `json:"phases,omitempty"`

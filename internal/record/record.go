@@ -7,9 +7,10 @@
 // observation a figure will aggregate, integer tallies, and optional
 // per-phase wall timings and engine-counter deltas — and every figure is a
 // pure replay of a record stream. The same Apply path serves the live sweep
-// (records applied as they commit through the ordered turnstile) and
-// cmd/rtreport (records applied from a JSONL file), which is what makes
-// "figure output byte-identical through the store" hold by construction.
+// (records applied in unit order as they commit through the sweep's commit
+// window) and cmd/rtreport (records applied from a JSONL file), which is
+// what makes "figure output byte-identical through the store" hold by
+// construction.
 //
 // Encoding is a hand-rolled append-style JSON writer with a fixed field
 // order, so output is canonical (the same record always encodes to the same

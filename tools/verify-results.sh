@@ -6,7 +6,8 @@
 #              -jsonl, and cmp the live stdout against the committed .txt
 #   2. replay: regenerate the figure FROM the JSONL store with rtreport
 #              (content hashes verified), and cmp against the committed .txt
-#   3. det:    run a miniature sweep at GOMAXPROCS=1 and at the host's
+#   3. det:    run miniature sweeps, plus one locking sweep long enough to
+#              wrap the commit window, at GOMAXPROCS=1 and at the host's
 #              default, and cmp the two JSONL stores byte for byte
 #   4. warm:   rerun committed figures with -warm-start (crossed with
 #              GOMAXPROCS 1 and default for the minis) and cmp stdout
@@ -49,7 +50,7 @@ replay() {
 }
 
 # det <figure> <sweep flags...>: miniature sweep twice — GOMAXPROCS=1 vs the
-# host default — stores must be byte-identical (the ordered-commit turnstile
+# host default — stores must be byte-identical (the ordered commit window
 # at work). Then hash-verify the store: short horizons leave some tasks
 # jobless, so obs layouts VARY across records — the decode path must not
 # leak omitempty fields between a reused record's lines.
@@ -114,6 +115,10 @@ det exec-variation $mini
 det tightness -systems 4
 det sensitivity -systems 2 -horizon-periods 5
 det locking $mini
+# The minis sweep 20 units, too few to fill a commit window (128 slots per
+# worker). 1,000 locking units, whose analysis costs are heavy-tailed, wrap
+# the window several times at any small worker count.
+det locking -systems 100 -nmin 2 -nmax 3
 
 # --- 4: warm-start invisibility — every committed figure rerun with
 # warm-seeded fixed points, against the committed .txt and the cold store
