@@ -115,19 +115,21 @@ cover:
 	$(GO) test -cover ./...
 
 # Regenerate every paper figure + ablation at moderate replication into
-# results/ (about 10 minutes on a laptop). Each sweep also streams its
-# CellRecord store to results/<name>.jsonl; `go run ./cmd/rtreport -in
-# results/<name>.jsonl` regenerates the figure from the store alone, and
-# tools/verify-results.sh proves that round trip byte-identical.
+# results/. Each sweep also streams its CellRecord store to
+# results/<name>.jsonl; `go run ./cmd/rtreport -in results/<name>.jsonl`
+# regenerates the figure from the store alone, and tools/verify-results.sh
+# proves that round trip byte-identical. Figures 14, 15, 16, rg-rule2 and
+# jitter are views over one avgeer-study sweep, so that sweep runs once
+# (for figure 14) and the other four render from its store.
 experiments: build
 	mkdir -p results
 	$(GO) run ./cmd/rtexperiments -figure 12 -systems 200 -jsonl results/fig12.jsonl > results/fig12.txt
 	$(GO) run ./cmd/rtexperiments -figure 13 -systems 200 -jsonl results/fig13.jsonl > results/fig13.txt
 	$(GO) run ./cmd/rtexperiments -figure 14 -systems 50 -jsonl results/fig14.jsonl > results/fig14.txt
-	$(GO) run ./cmd/rtexperiments -figure 15 -systems 50 -jsonl results/fig15.jsonl > results/fig15.txt
-	$(GO) run ./cmd/rtexperiments -figure 16 -systems 50 -jsonl results/fig16.jsonl > results/fig16.txt
-	$(GO) run ./cmd/rtexperiments -figure rg-rule2 -systems 50 -jsonl results/rg-rule2.jsonl > results/rg-rule2.txt
-	$(GO) run ./cmd/rtexperiments -figure jitter -systems 50 -jsonl results/jitter.jsonl > results/jitter.txt
+	$(GO) run ./cmd/rtreport -in results/fig14.jsonl -verify -figure 15 > results/fig15.txt
+	$(GO) run ./cmd/rtreport -in results/fig14.jsonl -verify -figure 16 > results/fig16.txt
+	$(GO) run ./cmd/rtreport -in results/fig14.jsonl -verify -figure rg-rule2 > results/rg-rule2.txt
+	$(GO) run ./cmd/rtreport -in results/fig14.jsonl -verify -figure jitter > results/jitter.txt
 	$(GO) run ./cmd/rtexperiments -figure release-jitter -systems 20 -jsonl results/release-jitter.jsonl > results/release-jitter.txt
 	$(GO) run ./cmd/rtexperiments -figure tightness -systems 40 -jsonl results/tightness.jsonl > results/tightness.txt
 	$(GO) run ./cmd/rtexperiments -figure edf -systems 30 -horizon-periods 10 -jsonl results/edf.jsonl > results/edf.txt

@@ -86,10 +86,11 @@ func TestSimStatsSnapshot(t *testing.T) {
 	st.NoteLockSuspension(5)
 
 	s := st.Snapshot()
-	if s.EventsTotal != 1+2+3+4+5+6 {
-		t.Errorf("EventsTotal = %d, want 21", s.EventsTotal)
+	if s.EventsTotal != 1+2+3+4+5 {
+		t.Errorf("EventsTotal = %d, want 15", s.EventsTotal)
 	}
-	if s.EventsByOp["completion"] != 1 || s.EventsByOp["func"] != 5 || s.EventsByOp["segment"] != 6 {
+	if len(s.EventsByOp) != NumEventOps || s.EventsByOp["completion"] != 1 ||
+		s.EventsByOp["first_release"] != 4 || s.EventsByOp["segment"] != 5 {
 		t.Errorf("EventsByOp = %v", s.EventsByOp)
 	}
 	if s.LockAcquisitions != 2 || s.PriorityBoosts != 1 {

@@ -1,13 +1,13 @@
 package obs
 
 // NumEventOps mirrors the simulator's event-op enum (completion, timer,
-// release, first-release, func, segment). sim pins the correspondence with
-// a compile-time assertion so the two cannot drift silently.
-const NumEventOps = 6
+// release, first-release, segment). sim pins the correspondence with
+// compile-time assertions so the two cannot drift silently.
+const NumEventOps = 5
 
 // eventOpNames names the ops in enum order for snapshots.
 var eventOpNames = [NumEventOps]string{
-	"completion", "timer", "release", "first_release", "func", "segment",
+	"completion", "timer", "release", "first_release", "segment",
 }
 
 // MaxProcs bounds the per-processor counter bank. Processors beyond the
@@ -41,7 +41,9 @@ type SimStats struct {
 func NewSimStats() *SimStats { return &SimStats{} }
 
 // CountEvent counts one popped event of the given op (out-of-range ops are
-// dropped rather than corrupting a neighbour).
+// dropped rather than corrupting a neighbour). The simulator also counts a
+// stale tentative event here when a re-arm overwrites it within the
+// horizon — the pop the event queue would otherwise have made.
 func (s *SimStats) CountEvent(op int) {
 	if uint(op) < NumEventOps {
 		s.events[op].Inc()
@@ -76,7 +78,8 @@ func (s *SimStats) NoteLockSuspension(ticks int64) {
 func (s *SimStats) NotePriorityBoost() { s.priorityBoosts.Inc() }
 
 // ObserveQueueDepth raises the event-queue occupancy high-water mark (the
-// timing wheel's pending events, overflow included).
+// timing wheel's pending events, overflow included, plus the simulator's
+// armed per-processor tentative slots).
 func (s *SimStats) ObserveQueueDepth(depth int64) { s.queueHighWater.Max(depth) }
 
 // AddCascades charges n timing-wheel bucket redistributions — the wheel's
@@ -116,7 +119,8 @@ type SimSnapshot struct {
 	ReleaseGuardStalls int64              `json:"release_guard_stalls"`
 	StallTicks         *HistogramSnapshot `json:"stall_ticks,omitempty"`
 	// EventQueueHighWater is the deepest the event queue ever got
-	// (timing-wheel occupancy, overflow included).
+	// (timing-wheel occupancy, overflow included, plus armed tentative
+	// slots).
 	EventQueueHighWater int64 `json:"event_queue_high_water"`
 	// WheelCascades counts timing-wheel bucket redistributions.
 	WheelCascades int64 `json:"wheel_cascades"`

@@ -9,9 +9,12 @@ import (
 )
 
 // The obs package mirrors the event-op enum by index
-// (opCompletion..opSegment); this compile-time assertion fails if an op is
-// added without widening obs.NumEventOps.
-const _ = uint(obs.NumEventOps - opSegment - 1)
+// (opCompletion..opSegment); these compile-time assertions fail unless
+// obs.NumEventOps equals the op count exactly.
+const (
+	_ = uint(obs.NumEventOps - opSegment - 1)
+	_ = uint(opSegment + 1 - obs.NumEventOps)
+)
 
 // Scheduler selects the per-processor dispatching discipline.
 type Scheduler int
@@ -89,7 +92,11 @@ type Config struct {
 	MaxEvents int64
 	// Stats, when non-nil, receives engine counters (events popped per
 	// op, preemptions, context switches, release-guard stalls, event-queue
-	// high water, per-processor idle time). The hooks are nil-guarded
+	// high water, per-processor idle time). A tentative event that a re-arm
+	// overwrites is counted at the overwrite when it fell due within the
+	// horizon, exactly where the queue used to pop and drop it, so the
+	// per-op totals match Metrics.Events; the high water counts the wheel,
+	// its overflow and the armed tentative slots. The hooks are nil-guarded
 	// plain-type calls: a nil Stats costs one predictable branch per hook
 	// and the instrumented loop stays allocation-free either way, so
 	// metrics and traces are bit-identical with observability on or off.
@@ -115,8 +122,8 @@ type procState struct {
 	// segStart is when running was dispatched (for trace segments;
 	// equals runStart unless the clock advanced without preemption).
 	segStart model.Time
-	// gen invalidates stale completion events: each (re)dispatch bumps
-	// it and tags the new tentative completion event.
+	// gen invalidates stale tentative events: each (re)dispatch bumps it
+	// and tags the new tentative event in the processor's slot.
 	gen int64
 	// idleNotified suppresses duplicate idle-point hooks while the
 	// processor stays idle; cleared when any job arrives.
@@ -157,6 +164,9 @@ type Engine struct {
 	cfg    Config
 	clock  model.Time
 	events timingWheel
+	// slots holds each processor's tentative completion or segment event;
+	// Run merges them with events, which holds only timers and releases.
+	slots  tentativeSlots
 	seq    int64
 	procs  []procState
 	dirty  []int
@@ -286,6 +296,7 @@ func (e *Engine) Reset(s *model.System, cfg Config) error {
 	e.eventsRun = 0
 	e.ran = false
 	e.events.reset()
+	e.slots.reset(len(sys.Procs))
 	e.timers = e.timers[:0]
 	e.dirty = e.dirty[:0]
 	// The old ready queues and running slots are about to be cleared, so
@@ -436,12 +447,24 @@ func (e *Engine) Run() (*Outcome, error) {
 		first := e.sys.Tasks[i].Subtasks[0].Proc
 		e.pushFirstRelease(i, 0, e.sys.Tasks[i].Phase.Add(e.ClockOffset(first)))
 	}
-	for e.events.len() > 0 {
+	for {
 		if e.stats != nil {
-			e.stats.ObserveQueueDepth(int64(e.events.len()))
+			e.stats.ObserveQueueDepth(int64(e.events.len() + e.slots.armed))
 		}
+		// Merge the slots with the wheel in (at, kind, seq) order: a slot
+		// (kindCompletion) wins every tie with the wheel's timers and
+		// releases, so the wheel pops only an event strictly before the
+		// earliest slot.
 		var ev event
-		e.events.pop(&ev)
+		if p := e.slots.earliest(); p >= 0 {
+			if !e.events.popBefore(e.slots.s[p].key.at, &ev) {
+				e.slots.take(p, &ev)
+			}
+		} else if e.events.len() > 0 {
+			e.events.pop(&ev)
+		} else {
+			break
+		}
 		if e.stats != nil {
 			e.stats.CountEvent(int(ev.op))
 		}
@@ -506,8 +529,6 @@ func (e *Engine) exec(ev *event) {
 		if next <= e.cfg.Horizon {
 			e.pushFirstRelease(task, ev.inst+1, next)
 		}
-	case opFunc:
-		ev.fn(e.clock)
 	}
 }
 
@@ -569,7 +590,8 @@ func (r *Runner) Run(s *model.System, cfg Config) (*Outcome, error) {
 	return out, err
 }
 
-// push schedules an event, stamping its sequence number.
+// push schedules a timer or release on the wheel, stamping its sequence
+// number.
 func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
@@ -606,16 +628,6 @@ func (e *Engine) StartTimer(at model.Time, id TimerID, sub int, inst int64) {
 		at = e.clock
 	}
 	e.push(event{at: at, kind: kindTimer, op: opTimer, a: int32(id), b: int32(sub), inst: inst})
-}
-
-// SetTimer schedules fn at time at (>= now). This is the compatibility path
-// for external protocols; it carries a closure per call, so the built-in
-// protocols use RegisterTimer/StartTimer instead.
-func (e *Engine) SetTimer(at model.Time, fn func(t model.Time)) {
-	if at < e.clock {
-		at = e.clock
-	}
-	e.push(event{at: at, kind: kindTimer, op: opFunc, fn: fn})
 }
 
 // ScheduleRelease schedules the release of instance m of subtask id at time
@@ -813,9 +825,9 @@ func (e *Engine) strictlyMoreUrgent(a, b *Job) bool {
 	return a.active() > b.active()
 }
 
-// dispatch puts job on processor p and arms its tentative completion event.
-// First dispatch acquires the job's locks, raising it to its effective
-// priority for the rest of its life.
+// dispatch puts job on processor p and arms its tentative completion event
+// in p's slot. First dispatch acquires the job's locks, raising it to its
+// effective priority for the rest of its life.
 func (e *Engine) dispatch(p int, job *Job, t model.Time) {
 	ps := &e.procs[p]
 	if e.stats != nil {
@@ -833,8 +845,26 @@ func (e *Engine) dispatch(p int, job *Job, t model.Time) {
 		e.armSegEvent(p, job, t)
 		return
 	}
+	e.arm(p, t.Add(job.Remaining), opCompletion)
+}
+
+// arm bumps processor p's dispatch generation and stores its new tentative
+// event in the slot, stamped from the same sequence counter as wheel
+// pushes. Whatever the slot held is stale by that bump; if it fell due
+// within the horizon, the queue would have popped and dropped it before
+// the run ended, so it is counted here as that pop to keep Metrics.Events
+// and the per-op counters unchanged.
+func (e *Engine) arm(p int, at model.Time, op int8) {
+	ps := &e.procs[p]
 	ps.gen++
-	e.push(event{at: t.Add(job.Remaining), kind: kindCompletion, op: opCompletion, a: int32(p), inst: ps.gen})
+	if old := &e.slots.s[p]; e.slots.live(p) && old.key.at <= e.cfg.Horizon {
+		e.eventsRun++
+		if e.stats != nil {
+			e.stats.CountEvent(int(old.op))
+		}
+	}
+	e.seq++
+	e.slots.set(p, slot{key: slotKey{at: at, seq: e.seq}, gen: ps.gen, op: op})
 }
 
 // preempt pushes the running job of p back into the ready queue.

@@ -7,6 +7,7 @@ import (
 
 	"rtsync/internal/analysis"
 	"rtsync/internal/model"
+	"rtsync/internal/obs"
 )
 
 // example2Bounds computes the SA/PM response-time bounds PM and MPM need.
@@ -418,5 +419,62 @@ func TestOverheadMetadata(t *testing.T) {
 	want := []string{"DS", "PM", "MPM", "RG", "RG1"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("names = %v, want %v", names, want)
+	}
+}
+
+// TestStaleOverwriteCounting pins how a tentative completion overwritten by
+// a preemption is counted. One processor: L (exec 10, phase 0) starts at 0
+// with its completion armed for 10; H (exec 3, phase 2, higher priority)
+// preempts it at 2, overwriting that slot; H completes at 5 and L resumes,
+// re-armed for 13. The queue used to pop the stale completion at 10 as a
+// no-op, so it counts as one event exactly when 10 is within the horizon.
+// Both periods put every later release past the horizon.
+func TestStaleOverwriteCounting(t *testing.T) {
+	b := model.NewBuilder()
+	p := b.AddProcessor("P")
+	b.AddTask("L", 100, 0).Subtask(p, 10, 1).Done()
+	b.AddTask("H", 100, 2).Subtask(p, 3, 2).Done()
+	sys := b.MustBuild()
+
+	for _, tc := range []struct {
+		name    string
+		horizon model.Time
+		// events: the two first releases, H's completion at 5, the
+		// stale completion at 10 when within the horizon, and L's
+		// completion at 13 when within it.
+		events int64
+		// popped adds the one pop past the horizon that ends the run:
+		// L's live completion at 13, or the stale one at 10, which the
+		// queue used to pop and the slots never do.
+		popped      int64
+		completions int64
+	}{
+		{name: "stale-before-horizon", horizon: 20, events: 5, popped: 5, completions: 3},
+		{name: "stale-at-horizon", horizon: 10, events: 4, popped: 5, completions: 3},
+		{name: "stale-after-horizon", horizon: 9, events: 3, popped: 4, completions: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := obs.NewSimStats()
+			out, err := Run(sys, Config{Protocol: NewDS(), Horizon: tc.horizon, Stats: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Metrics.Preemptions != 1 {
+				t.Fatalf("preemptions = %d, want 1: the test lost its overwrite", out.Metrics.Preemptions)
+			}
+			snap := st.Snapshot()
+			if out.Metrics.Events != tc.events {
+				t.Errorf("Metrics.Events = %d, want %d", out.Metrics.Events, tc.events)
+			}
+			if snap.EventsTotal != tc.popped {
+				t.Errorf("SimStats.EventsTotal = %d, want %d", snap.EventsTotal, tc.popped)
+			}
+			if got := snap.EventsByOp["completion"]; got != tc.completions {
+				t.Errorf("completion events = %d, want %d", got, tc.completions)
+			}
+			if got := snap.EventsByOp["first_release"]; got != 2 {
+				t.Errorf("first-release events = %d, want 2", got)
+			}
+		})
 	}
 }

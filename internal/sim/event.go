@@ -14,7 +14,10 @@ import "rtsync/internal/model"
 // Event kinds order simultaneous events deterministically: completions are
 // settled before timers, timers before releases. Correctness does not hinge
 // on this order — the engine re-checks remaining work on every touch — but
-// it makes traces stable and easy to reason about.
+// it makes traces stable and easy to reason about. Only timers and releases
+// enter the timing wheel; kindCompletion events live in the engine's
+// per-processor tentative slots, which is why a slot wins every tie with the
+// wheel at the same instant.
 const (
 	kindCompletion = iota
 	kindTimer
@@ -37,9 +40,6 @@ const (
 	// opFirstRelease releases instance inst of task b's first subtask and
 	// chains the next periodic release.
 	opFirstRelease
-	// opFunc runs a caller-supplied closure — the compatibility path for
-	// external protocols using SetTimer; built-in protocols never take it.
-	opFunc
 	// opSegment is a tentative critical-section boundary of the running
 	// job on processor a (the next acquire or release falling due): like
 	// opCompletion it carries the arming dispatch generation in inst and
@@ -49,8 +49,10 @@ const (
 	opSegment
 )
 
-// event is one scheduled occurrence, a plain value: the queue stores events
-// by value, so pushing and popping allocate nothing in the steady state.
+// event is one scheduled occurrence, a plain pointer-free value: the queue
+// stores events by value, so pushing and popping allocate nothing in the
+// steady state, and neither the wheel arena nor the overflow heap holds
+// anything the garbage collector must scan.
 type event struct {
 	at   model.Time
 	seq  int64
@@ -59,7 +61,6 @@ type event struct {
 	op   int8
 	a    int32
 	b    int32
-	fn   func(t model.Time)
 }
 
 // before orders events by (at, kind, seq): time first, then the kind rank,
@@ -106,7 +107,6 @@ func (q *eventHeap) pop() event {
 	top := q.items[0]
 	n := len(q.items) - 1
 	q.items[0] = q.items[n]
-	q.items[n] = event{} // release any closure
 	q.items = q.items[:n]
 	i := 0
 	for {
@@ -128,9 +128,4 @@ func (q *eventHeap) pop() event {
 }
 
 // reset empties the queue, keeping its capacity for reuse.
-func (q *eventHeap) reset() {
-	for i := range q.items {
-		q.items[i] = event{}
-	}
-	q.items = q.items[:0]
-}
+func (q *eventHeap) reset() { q.items = q.items[:0] }

@@ -73,46 +73,36 @@ func TestEventWheelOrderingProperty(t *testing.T) {
 
 // TestEventWheelFarFutureOrdering drives timestamps across window and block
 // boundaries — cascades and the overflow heap — interleaving pushes with
-// pops the way the engine does (pushes never precede the last popped time),
-// and requires the wheel to pop exactly what the reference heap pops.
+// pops and bounded pops the way the engine does (pushes never precede the
+// last popped time or refused bound), and requires the wheel to pop
+// exactly what the reference heap pops.
 func TestEventWheelFarFutureOrdering(t *testing.T) {
 	deltas := []int64{0, 1, 63, 64, 65, 4095, 4096, 262144, wheelSpan - 1,
 		wheelSpan, wheelSpan + 7, 3 * wheelSpan, 1 << 40}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var wheel timingWheel
-		var heap eventHeap
-		var seq int64
-		var now model.Time
-		same := func() bool {
-			var a event
-			wheel.pop(&a)
-			b := heap.pop()
-			now = a.at
-			return a.at == b.at && a.kind == b.kind && a.seq == b.seq
-		}
+		var q queuePair
+		delta := func() model.Duration { return model.Duration(deltas[rng.Intn(len(deltas))]) }
 		for i := 0; i < 400; i++ {
-			if heap.len() == 0 || rng.Intn(3) > 0 {
-				seq++
-				ev := event{
-					at:   now.Add(model.Duration(deltas[rng.Intn(len(deltas))])),
-					kind: int8(rng.Intn(3)),
-					seq:  seq,
-				}
-				wheel.push(&ev)
-				heap.push(ev)
-				continue
+			var err error
+			switch r := rng.Intn(6); {
+			case r == 5:
+				err = q.popBefore(q.now.Add(delta()))
+			case q.heap.len() == 0 || r < 3:
+				err = q.push(q.now.Add(delta()), int8(rng.Intn(3)))
+			default:
+				err = q.pop()
 			}
-			if !same() {
+			if err != nil {
+				t.Log(err)
 				return false
 			}
 		}
-		for heap.len() > 0 {
-			if !same() {
-				return false
-			}
+		if err := q.drain(); err != nil {
+			t.Log(err)
+			return false
 		}
-		return wheel.len() == 0
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

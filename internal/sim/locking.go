@@ -376,11 +376,9 @@ func (e *Engine) progressRunning(p int, t model.Time) {
 
 // armSegEvent arms processor p's next tentative event for the running job:
 // its next segment boundary when that falls strictly before completion,
-// otherwise the completion itself. Like dispatch, it bumps the generation
-// so any earlier tentative event goes stale.
+// otherwise the completion itself. Like dispatch, it goes through arm, so
+// any earlier tentative event goes stale.
 func (e *Engine) armSegEvent(p int, job *Job, t model.Time) {
-	ps := &e.procs[p]
-	ps.gen++
 	at := t.Add(job.Remaining)
 	op := int8(opCompletion)
 	if job.segIdx < e.segOff[int(job.idx)+1] {
@@ -390,7 +388,7 @@ func (e *Engine) armSegEvent(p int, job *Job, t model.Time) {
 			op = opSegment
 		}
 	}
-	e.push(event{at: at, kind: kindCompletion, op: op, a: int32(p), inst: ps.gen})
+	e.arm(p, at, op)
 }
 
 // startJob dispatches job on processor p unless its due boundaries move it

@@ -9,8 +9,9 @@ import (
 // Protocol is a synchronization protocol: it decides when instances of
 // non-first subtasks are released. The engine releases instances of first
 // subtasks (they are periodic by the task model) and invokes the hooks
-// below; hooks act by calling the engine's ReleaseNow, ScheduleRelease, and
-// SetTimer.
+// below; hooks act by calling the engine's ReleaseNow and ScheduleRelease,
+// and arm timers with StartTimer on a callback registered in Init through
+// RegisterTimer.
 type Protocol interface {
 	// Name returns the protocol's short name ("DS", "PM", "MPM", "RG").
 	Name() string

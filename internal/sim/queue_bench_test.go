@@ -8,10 +8,8 @@ import (
 )
 
 // benchDeltas pre-generates the push offsets for the event-queue benchmark:
-// a mix of short dispatch-scale gaps and period-scale jumps, matching the
-// engine's steady-state profile (mostly near-future completions and timers,
-// occasional next-period releases). Pre-generated so the RNG stays out of
-// the measured loop.
+// three in four are short dispatch-scale gaps, the rest period-scale jumps.
+// Pre-generated so the RNG stays out of the measured loop.
 func benchDeltas(n int) []model.Duration {
 	rng := rand.New(rand.NewSource(42))
 	out := make([]model.Duration, n)
@@ -25,10 +23,12 @@ func benchDeltas(n int) []model.Duration {
 	return out
 }
 
-// BenchmarkEventQueuePushPop measures the hold model — pop the minimum,
-// push a successor — that dominates the engine's queue traffic, at a
-// steady occupancy of 32 events: the timing wheel against the reference
-// heap it replaced.
+// BenchmarkEventQueuePushPop measures the classic hold model — pop the
+// minimum, push a successor — at a steady occupancy of 32 events: the
+// timing wheel against the reference heap it replaced. It prices the queue
+// structures, not the engine's traffic: tentative completions, once most of
+// the pops, now live in per-processor slots, and the wheel sees only timers
+// and releases (BenchmarkEngineEvents measures the whole loop).
 func BenchmarkEventQueuePushPop(b *testing.B) {
 	const hold = 32
 	deltas := benchDeltas(1024)

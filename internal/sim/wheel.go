@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"rtsync/internal/model"
+)
 
 // Wheel geometry: wheelLevels levels of wheelSlots buckets, wheelBits bits
 // of the timestamp per level. Level 0 buckets are single ticks; a level-l
@@ -25,11 +29,11 @@ const (
 // valid, and no pointer chasing leaves the arena. The pad rounds the node
 // up to one cache line: cascades walk nodes in arena order and relink them
 // without copying the event, so keeping each node in a single line matters
-// more than the 8 spare bytes.
+// more than the 20 spare bytes.
 type wheelNode struct {
 	ev   event
 	next int32
-	_    [12]byte
+	_    [20]byte
 }
 
 // fifo is an intrusive singly-linked queue of arena references (0 = empty).
@@ -53,7 +57,8 @@ type fifo struct{ head, tail int32 }
 // The zero value is ready to use; reset reclaims everything while keeping
 // the node arena's backing array, so a warm wheel allocates nothing.
 type timingWheel struct {
-	// cur is the drain cursor: the at of the most recently popped event.
+	// cur is the drain cursor: the at of the most recently popped event,
+	// or the bound of a later refused popBefore.
 	// Invariant: every wheel-resident event e has e.at >= cur and
 	// e.at^cur < wheelSpan (same top-level block); everything farther
 	// out sits in overflow.
@@ -89,9 +94,6 @@ func (w *timingWheel) reset() {
 	w.l0 = [wheelSlots][numKinds]fifo{}
 	w.l0kinds = [wheelSlots]uint8{}
 	w.up = [wheelLevels - 1][wheelSlots]fifo{}
-	for i := range w.nodes {
-		w.nodes[i] = wheelNode{} // release any closures
-	}
 	w.nodes = w.nodes[:0]
 	w.free = 0
 	w.overflow.reset()
@@ -180,24 +182,51 @@ func (w *timingWheel) append(f *fifo, n int32) {
 // pop removes the minimum event by (at, kind, seq) into *dst. The caller
 // must ensure len() > 0.
 func (w *timingWheel) pop(dst *event) {
-	if w.count == 0 {
-		// Everything pending is beyond the wheel's block: jump the
-		// cursor to the overflow's earliest event and pull its whole
-		// block in. Heap pops arrive in (at, kind, seq) order, so the
-		// refilled FIFOs stay seq-sorted.
-		w.cur = int64(w.overflow.top().at)
-		for w.overflow.len() > 0 && int64(w.overflow.top().at)^w.cur < wheelSpan {
-			ev := w.overflow.pop()
-			w.place(&ev)
-		}
+	if !w.popBefore(model.TimeInfinity, dst) {
+		// Only events at TimeInfinity remain, and the refusal parked the
+		// cursor on their level-0 slot.
+		w.drainSlot(int(w.cur&wheelMask), dst)
 	}
+}
+
+// popBefore removes the minimum event by (at, kind, seq) into *dst and
+// reports true when that event's time is before x. Otherwise it pops
+// nothing and leaves the cursor at x, so events pushed at or after x still
+// route to the finest level that holds them. x must not precede the last
+// popped time (or refused bound), or the cursor would move back; the
+// engine passes its earliest tentative slot, which is never before now.
+//
+// Moving the cursor keeps the wheel's invariants: it never enters a coarse
+// bucket's window without cascading that bucket first, and when the wheel
+// is empty it pulls in the overflow block that contains x, so overflow
+// still holds only events beyond the cursor's block.
+func (w *timingWheel) popBefore(x model.Time, dst *event) bool {
+	xt := int64(x)
 	for {
+		if w.count == 0 {
+			if w.overflow.len() == 0 || int64(w.overflow.top().at) >= xt {
+				w.cur = xt
+				w.refill()
+				return false
+			}
+			// Everything pending is beyond the wheel's block: jump the
+			// cursor to the overflow's earliest event and pull its
+			// whole block in.
+			w.cur = int64(w.overflow.top().at)
+			w.refill()
+		}
 		c0 := w.cur & wheelMask
 		if rot := w.occ[0] >> uint(c0); rot != 0 {
-			s := c0 + int64(bits.TrailingZeros64(rot))
-			w.cur = (w.cur &^ wheelMask) | s
-			w.drainSlot(int(s), dst)
-			return
+			// Level 0 holds the minimum: the first occupied slot at or
+			// after the cursor, inside the cursor's 64-tick window.
+			t := w.cur + int64(bits.TrailingZeros64(rot))
+			if t >= xt {
+				w.cur = xt
+				return false
+			}
+			w.cur = t
+			w.drainSlot(int(t&wheelMask), dst)
+			return true
 		}
 		advanced := false
 		for l := 1; l < wheelLevels; l++ {
@@ -208,12 +237,20 @@ func (w *timingWheel) pop(dst *event) {
 				continue
 			}
 			s := cl + int64(bits.TrailingZeros64(rot))
-			// Enter bucket (l, s)'s window: zero every finer digit
-			// of the cursor, then spill the bucket downward. Each
+			// Bucket (l, s) holds the minimum; its window starts at the
+			// cursor with digit l set to s and every finer digit zeroed.
+			clearMask := (int64(1) << (shift + wheelBits)) - 1
+			start := (w.cur &^ clearMask) | (s << shift)
+			if start > xt {
+				// x falls before the window: no bucket's window
+				// contains it, so the cursor can sit there as is.
+				w.cur = xt
+				return false
+			}
+			// Enter the window and spill the bucket downward. Each
 			// event re-places at a level below l, so the level-0
 			// rescan sees them.
-			clearMask := (int64(1) << (shift + wheelBits)) - 1
-			w.cur = (w.cur &^ clearMask) | (s << shift)
+			w.cur = start
 			w.cascade(l, int(s))
 			advanced = true
 			break
@@ -221,6 +258,16 @@ func (w *timingWheel) pop(dst *event) {
 		if !advanced {
 			panic("sim: timing wheel lost an event (occupancy empty with count > 0)")
 		}
+	}
+}
+
+// refill pulls every overflow event inside the cursor's block into the
+// wheel. Heap pops arrive in (at, kind, seq) order, so the refilled FIFOs
+// stay seq-sorted.
+func (w *timingWheel) refill() {
+	for w.overflow.len() > 0 && int64(w.overflow.top().at)^w.cur < wheelSpan {
+		ev := w.overflow.pop()
+		w.place(&ev)
 	}
 }
 
@@ -243,7 +290,6 @@ func (w *timingWheel) drainSlot(s int, dst *event) {
 		}
 	}
 	*dst = nd.ev
-	nd.ev.fn = nil
 	nd.next = w.free
 	w.free = n
 	w.count--
