@@ -26,8 +26,11 @@ bench:
 
 # Rerun the analysis hot-path benchmarks and rewrite the "after" section of
 # BENCH_analysis.json in place (description, "before" and notes survive).
+# The recorders and bench-regress run every benchmark five times and keep
+# the median time (tools/benchjson -count): one timing on a shared machine
+# can land anywhere in a spread wider than the regression gate.
 bench-analysis:
-	$(GO) run ./tools/benchjson -out BENCH_analysis.json \
+	$(GO) run ./tools/benchjson -out BENCH_analysis.json -count 5 \
 		-pkg ./internal/analysis -bench 'BenchmarkAnalyze|BenchmarkIncremental|BenchmarkDemand' -benchtime 10x
 
 # The experiments pipeline benchmarks plus the record-store path:
@@ -35,7 +38,7 @@ bench-analysis:
 # 16-system sweep, and BenchmarkRecordEncode/Decode isolate the per-record
 # canonical-JSON + content-hash cost.
 bench-experiments:
-	$(GO) run ./tools/benchjson -out BENCH_experiments.json \
+	$(GO) run ./tools/benchjson -out BENCH_experiments.json -count 5 \
 		-pkg ./internal/experiments,./internal/record \
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x
 
@@ -49,7 +52,7 @@ bench-experiments:
 # price the tracing-enabled extras: one span append and one full /metrics
 # exposition render.
 bench-sim:
-	$(GO) run ./tools/benchjson -out BENCH_sim.json \
+	$(GO) run ./tools/benchjson -out BENCH_sim.json -count 5 \
 		-pkg .,./internal/sim,./internal/obs \
 		-bench 'BenchmarkSimulate|BenchmarkEngine|BenchmarkEventQueue|BenchmarkReadyQueue|BenchmarkSpanRecord|BenchmarkPromText' \
 		-benchtime 1s
@@ -69,9 +72,10 @@ bench-check:
 
 # Regression gate: rerun each trajectory's benchmarks at the SAME benchtime
 # its baseline was captured with (a 1x run measures cold-start, not steady
-# state) and fail when ns/op or ns/event slips more than MAX_REGRESS percent
-# or allocs/op more than MAX_REGRESS_ALLOCS percent (+2 allocs absolute
-# slack) against the committed "after" numbers. Benchmarks are noisy across
+# state), five times each, and fail when the median ns/op, ns/event or
+# ns/term slips more than MAX_REGRESS percent or allocs/op more than
+# MAX_REGRESS_ALLOCS percent (+2 allocs absolute slack) against the
+# committed "after" numbers. Benchmarks are noisy across
 # machines, so the default thresholds are generous; tighten them on a quiet
 # box. An INTENTIONAL regression re-baselines with
 #
@@ -83,16 +87,16 @@ MAX_REGRESS ?= 30
 MAX_REGRESS_ALLOCS ?= 10
 UPDATE_FLAG = $(if $(UPDATE),-update,)
 bench-regress:
-	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) \
+	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) -count 5 \
 		-max-regress $(MAX_REGRESS) -max-regress-allocs $(MAX_REGRESS_ALLOCS) \
 		-out BENCH_sim.json -pkg .,./internal/sim,./internal/obs \
 		-bench 'BenchmarkSimulate|BenchmarkEngine|BenchmarkEventQueue|BenchmarkReadyQueue|BenchmarkSpanRecord|BenchmarkPromText' \
 		-benchtime 1s
-	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) \
+	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) -count 5 \
 		-max-regress $(MAX_REGRESS) -max-regress-allocs $(MAX_REGRESS_ALLOCS) \
 		-out BENCH_analysis.json -pkg ./internal/analysis \
 		-bench 'BenchmarkAnalyze|BenchmarkIncremental|BenchmarkDemand' -benchtime 10x
-	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) \
+	$(GO) run ./tools/benchjson -check $(UPDATE_FLAG) -count 5 \
 		-max-regress $(MAX_REGRESS) -max-regress-allocs $(MAX_REGRESS_ALLOCS) \
 		-out BENCH_experiments.json -pkg ./internal/experiments,./internal/record \
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x

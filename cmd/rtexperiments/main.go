@@ -14,12 +14,6 @@
 // for any of them runs the same study. CSV export: -csv prefix writes
 // <prefix>-figNN.csv files.
 //
-// -warm-start seeds every fixed-point solve from a sound analytic lower
-// bound: figure output and record stores are byte-identical either way
-// (tools/verify-results.sh proves it), only iteration counts drop — visible
-// in the rtsync_analysis_fixpoint_iters histogram on /metrics and in
-// manifests.
-//
 // The sweep grid is configurable: -grid-n/-grid-u/-grid-period-ratio take
 // comma-separated axis values, -grid-seeds accumulates several full sweeps
 // into one result set, and -trials multiplies -systems. Study knobs
@@ -51,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"rtsync/internal/analysis"
 	"rtsync/internal/experiments"
 	"rtsync/internal/gridflag"
 	"rtsync/internal/obs"
@@ -91,7 +84,6 @@ func run(args []string, w io.Writer) error {
 		figure   = fs.String("figure", "all", strings.Join(experiments.FigureNames(), ", ")+", or all")
 		systems  = fs.Int("systems", 50, "systems per configuration (paper: 1000)")
 		seed     = fs.Int64("seed", 1, "sweep seed")
-		warm     = fs.Bool("warm-start", false, "seed fixed-point solves from sound lower bounds (identical figures, fewer iterations)")
 		hp       = fs.Int64("horizon-periods", 20, "simulation horizon in multiples of the max period")
 		nMin     = fs.Int("nmin", 2, "smallest subtask count")
 		nMax     = fs.Int("nmax", 8, "largest subtask count")
@@ -203,15 +195,11 @@ func run(args []string, w io.Writer) error {
 		sargs.Protocols = ps
 	}
 
-	aopts := analysis.DefaultOptions()
-	aopts.WarmStart = *warm
-
 	p := experiments.Params{
 		Configs:          configs,
 		SystemsPerConfig: perConfig,
 		Seed:             seeds[0],
 		HorizonPeriods:   *hp,
-		Analysis:         aopts,
 		RecordTimings:    *recTimings,
 		RecordSimCounts:  *recStats,
 	}

@@ -46,7 +46,6 @@ func run(args []string, w io.Writer) error {
 		example   = fs.Int("example", 0, "use built-in example system (1 or 2) instead of a file")
 		factor    = fs.Int64("failure-factor", 300, "bound > factor*period counts as infinite")
 		cacheSize = fs.Int("cache", 256, "result-cache entry limit")
-		warm      = fs.Bool("warm-start", true, "seed fixed-point solves from sound lower bounds")
 	)
 	cli := obs.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +76,6 @@ func run(args []string, w io.Writer) error {
 
 	opts := analysis.DefaultOptions()
 	opts.FailureFactor = *factor
-	opts.WarmStart = *warm
 
 	stats := obs.NewAnalysisStats()
 	cli.AttachAnalysisStats(stats)

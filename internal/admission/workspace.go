@@ -63,8 +63,7 @@ type Config struct {
 	// Defaults to sads.
 	Algo string
 	// Options are the analysis options; zero value means
-	// analysis.DefaultOptions() with WarmStart on (the service reuses one
-	// Analyzer, which is exactly the warm-start sweet spot).
+	// analysis.DefaultOptions().
 	Options analysis.Options
 	// CacheSize bounds the memoized results (default 256 entries).
 	CacheSize int
@@ -146,7 +145,6 @@ func NewWorkspace(sys *model.System, cfg Config) (*Workspace, error) {
 	}
 	if cfg.Options == (analysis.Options{}) {
 		cfg.Options = analysis.DefaultOptions()
-		cfg.Options.WarmStart = true
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"rtsync/internal/model"
 	"rtsync/internal/obs"
 )
@@ -71,19 +73,21 @@ type Analyzer struct {
 	cur, nxt         []model.Duration
 	incStack         []int32
 
-	// Pass-to-pass warm-start state (Options.WarmStart): each subtask's
-	// converged busy-period duration and first-instance completion from
-	// its previous evaluation within the CURRENT iterative analysis, plus
-	// per-global-segment lock-wait fixed points (warmW, ragged via
-	// gsegOff). Sound seeds because the outer iterates — bounds, lock
-	// waits, and hence every jitter input — grow monotonically from the
-	// optimistic seed, so a subtask's previous converged values lower-
-	// bound its next ones. Each Analyze method zeroes them on entry: a
-	// bound from AnalyzeDS would NOT be a sound seed for AnalyzeHolistic,
-	// whose jitters are smaller.
-	warmD  []model.Duration
-	warmC1 []model.Duration
-	warmW  []model.Duration
+	// Pass-to-pass seeds of the iterative analyses: each subtask's
+	// converged busy period D (warmD) and completions C(1..n) (warmC, a
+	// ragged arena: subtask i's span is warmSpan[i]) from its previous
+	// evaluation within the CURRENT analysis, plus per-global-segment
+	// lock-wait fixed points (warmW, ragged via gsegOff). Sound seeds
+	// because the outer iterates — bounds, lock waits, and hence every
+	// jitter input — grow monotonically from the optimistic seed, so a
+	// subtask's previous converged values lower-bound its next ones. Each
+	// Analyze method zeroes them on entry (resetWarm): a bound from
+	// AnalyzeDS would NOT be a sound seed for AnalyzeHolistic, whose
+	// jitters are smaller.
+	warmD    []model.Duration
+	warmC    []model.Duration
+	warmSpan []seedSpan
+	warmW    []model.Duration
 
 	// termSub parallels termBuf and names the dense index OWNING each
 	// term (the interfering subtask itself, where termSrc names its
@@ -151,7 +155,7 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 	a.cur = resizeDurations(a.cur, n)
 	a.nxt = resizeDurations(a.nxt, n)
 	a.warmD = resizeDurations(a.warmD, n)
-	a.warmC1 = resizeDurations(a.warmC1, n)
+	a.warmSpan = resizeSpans(a.warmSpan, n)
 	a.overUtil = resizeBools(a.overUtil, n)
 	a.dirty = resizeBools(a.dirty, n)
 	a.nextDirty = resizeBools(a.nextDirty, n)
@@ -211,7 +215,7 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 		a.termSub = append(a.termSub, int32(i))
 		nonPreemptive := !s.Procs[self.Proc].Preemptive
 		var blocking model.Duration
-		u := newUtilSum(int64(self.Exec), int64(a.period[i]))
+		util := float64(self.Exec) / float64(a.period[i])
 		for _, oj := range a.procBuf[a.procOff[self.Proc]:a.procOff[self.Proc+1]] {
 			oi := int(oj)
 			if oi == i {
@@ -220,10 +224,11 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 			other := a.ix.ID(oi)
 			o := s.Subtask(other)
 			if o.Priority >= self.Priority {
-				a.termBuf = append(a.termBuf, term{Period: s.Task(other).Period, Exec: o.Exec})
+				p := s.Task(other).Period
+				a.termBuf = append(a.termBuf, term{Period: p, Exec: o.Exec})
 				a.termSrc = append(a.termSrc, predIndex(oi, other))
 				a.termSub = append(a.termSub, oj)
-				u.add(int64(o.Exec), int64(s.Task(other).Period))
+				util += float64(o.Exec) / float64(p)
 				continue
 			}
 			// Strictly lower priority: a blocking source if the
@@ -246,17 +251,10 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 			}
 		}
 		a.block[i] = blocking
-		switch u.compareOne() {
-		case 1:
-			a.overUtil[i] = true
-		case -1:
-			a.overUtil[i] = false
-		default:
-			// The integers overflowed AND the float screen was within its
-			// error margin of exactly 1: replay this subtask's terms (self
-			// plus interferers, just appended) in exact arithmetic.
-			a.overUtil[i] = utilExceedsOneExact(a.termBuf[a.termOff[i]:])
-		}
+		// util summed this subtask's terms (self plus interferers, just
+		// appended) in order; only a sum within its rounding margin of 1
+		// replays them exactly.
+		a.overUtil[i] = utilExceedsOne(util, a.termBuf[a.termOff[i]:])
 	}
 	a.termOff[n] = len(a.termBuf)
 
@@ -290,18 +288,13 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 	a.mpcp.Protocol, a.dpcp.Protocol = "MPCP", "DPCP"
 }
 
-// solve runs one inner fixed-point solve from the larger of S0 and the
-// caller's seed, raising the seed to the fluid lower bound when
-// warm-starting is on. Every sound seed converges to the identical least
-// fixed point (see fixpointFrom), so the flag never changes a bound — only
-// how fast it is reached.
-func (a *Analyzer) solve(base model.Duration, terms []term, cap model.Duration, start model.Duration) model.Duration {
-	if a.opts.WarmStart {
-		if fs := fluidSeed(base, terms); fs > start {
-			start = fs
-		}
-	}
-	return a.solveFrom(base, terms, cap, max(startDemand(base, terms), start), start > 0)
+// solve runs one inner fixed-point solve from the larger of S0 and seed, a
+// pass-to-pass seed at or below the least fixed point (0 when there is
+// none). Every start in [S0, lfp] converges to the identical least fixed
+// point (see fixpointFrom), so a seed never changes a bound — only how fast
+// it is reached.
+func (a *Analyzer) solve(base model.Duration, terms []term, cap model.Duration, seed model.Duration) model.Duration {
+	return a.solveFrom(base, terms, cap, max(startDemand(base, terms), seed), seed > 0)
 }
 
 // solveFrom iterates from t, which the caller guarantees lies in
@@ -315,6 +308,10 @@ func (a *Analyzer) solveFrom(base model.Duration, terms []term, cap model.Durati
 	return v
 }
 
+// seedSpan locates one subtask's completion seeds in warmC: n slots from
+// off, the first M of them holding C(1..M).
+type seedSpan struct{ off, n int }
+
 // response runs steps 1–4 of the busy-period analysis for subtask i, the
 // part every analysis shares: the level busy period D, its instance count
 // M = ceil((D+J)/p), and the worst response from the optimistic release,
@@ -327,18 +324,20 @@ func (a *Analyzer) solveFrom(base model.Duration, terms []term, cap model.Durati
 //
 // Two shortcuts, both exact (DESIGN.md §4k): a single-instance busy
 // period has C(1) = D, and C(k) starts at C(k−1) + e, which lies in
-// [S0, C(k)], so its S0 pass is skipped. warm selects the pass-to-pass
-// seeds of the iterative analyses under Options.WarmStart (warmD, warmC1);
-// SA/PM runs once and never reads them.
-func (a *Analyzer) response(i int, terms []term, warm bool) (worst, d model.Duration, m int64) {
+// [S0, C(k)], so its S0 pass is skipped. seeded selects the pass-to-pass
+// seeds of the iterative analyses (DESIGN.md §4j): D and every C(k) start
+// at the larger of that start and the subtask's converged value from its
+// previous evaluation, and each converged value is kept for the next.
+// SA/PM runs once and keeps no seeds.
+func (a *Analyzer) response(i int, terms []term, seeded bool) (worst, d model.Duration, m int64) {
 	if a.overUtil[i] {
 		return model.Infinite, model.Infinite, 0
 	}
-	var dStart model.Duration
-	if warm {
-		dStart = a.warmD[i]
+	var dSeed model.Duration
+	if seeded {
+		dSeed = a.warmD[i]
 	}
-	d = a.solve(a.block[i], terms, a.busyCap[i], dStart)
+	d = a.solve(a.block[i], terms, a.busyCap[i], dSeed)
 	if d.IsInfinite() {
 		return model.Infinite, d, 0
 	}
@@ -347,25 +346,42 @@ func (a *Analyzer) response(i int, terms []term, warm bool) (worst, d model.Dura
 	if m > a.opts.MaxInstances {
 		return model.Infinite, d, m
 	}
+	// C(k)'s seed is cs[k-1], 0 for an instance not reached before. A
+	// single-instance busy period solves no completion and keeps no span.
+	var cs []model.Duration
+	if seeded {
+		prevD := a.warmD[i]
+		a.warmD[i] = d
+		if m > 1 {
+			cs = a.completionSeeds(i, int(m), prevD)
+		}
+	}
 	c := d // C(1) = D when the busy period holds one instance
 	if m > 1 {
-		var cStart model.Duration
-		if warm {
-			cStart = a.warmC1[i]
+		var cSeed model.Duration
+		if cs != nil {
+			cSeed = cs[0]
 		}
-		c = a.solve(a.block[i].AddSat(self.Exec), terms[1:], a.busyCap[i], cStart)
+		c = a.solve(a.block[i].AddSat(self.Exec), terms[1:], a.busyCap[i], cSeed)
 		if c.IsInfinite() {
 			return model.Infinite, d, m
 		}
-	}
-	if warm {
-		a.warmD[i], a.warmC1[i] = d, c
+		if cs != nil {
+			cs[0] = c
+		}
 	}
 	worst = c.AddSat(self.Jitter)
 	for k := int64(2); k <= m; k++ {
-		c = a.solveFrom(a.block[i].AddSat(self.Exec.MulSat(k)), terms[1:], a.busyCap[i], c.AddSat(self.Exec), true)
+		start := c.AddSat(self.Exec)
+		if cs != nil {
+			start = max(start, cs[k-1])
+		}
+		c = a.solveFrom(a.block[i].AddSat(self.Exec.MulSat(k)), terms[1:], a.busyCap[i], start, true)
 		if c.IsInfinite() {
 			return model.Infinite, d, m
+		}
+		if cs != nil {
+			cs[k-1] = c
 		}
 		if rk := c.AddSat(self.Jitter) - a.period[i].MulSat(k-1); rk > worst {
 			worst = rk
@@ -374,21 +390,47 @@ func (a *Analyzer) response(i int, terms []term, warm bool) (worst, d model.Dura
 	return worst, d, m
 }
 
-// resetWarm zeroes the pass-to-pass warm-start state. Called on entry to
-// each iterative Analyze method — never between its passes — so seeds only
-// flow between passes of one analysis, where monotonicity makes them
-// sound.
+// completionSeeds returns subtask i's completion seeds C(1..m), m ≥ 2: its
+// converged completions from its previous evaluation in this analysis, and
+// 0 for instances that evaluation did not reach. A subtask without a span
+// had only single-instance busy periods so far, whose C(1) was D, so its
+// new span starts C(1) at prevD, the previous evaluation's D.
+//
+// M only grows across passes, often by one instance at a time, so a span
+// too short for m doubles (to at least m), moving to the end of warmC
+// unless it is last there; the old span lies dead until the next
+// resetWarm. A span thus moves O(log M) times per analysis; growing it to
+// exactly m would move it on every pass and, on the locking study, hold 7×
+// the entries. warmC's backing array is reused across analyses and Resets.
+func (a *Analyzer) completionSeeds(i, m int, prevD model.Duration) []model.Duration {
+	sp := &a.warmSpan[i]
+	if m > sp.n {
+		if end := sp.off + sp.n; end != len(a.warmC) {
+			off := len(a.warmC)
+			a.warmC = append(a.warmC, a.warmC[sp.off:end]...)
+			sp.off = off
+		}
+		// Zero-extend by n−sp.n without the temporary slice that
+		// append(s, make(...)...) allocates when built with -race.
+		n, old := max(m, 2*sp.n), len(a.warmC)
+		a.warmC = slices.Grow(a.warmC, n-sp.n)[:old+n-sp.n]
+		clear(a.warmC[old:])
+		if sp.n == 0 {
+			a.warmC[sp.off] = prevD
+		}
+		sp.n = n
+	}
+	return a.warmC[sp.off : sp.off+m]
+}
+
+// resetWarm zeroes the pass-to-pass seeds. Called on entry to each
+// iterative Analyze method — never between its passes — so seeds only flow
+// between passes of one analysis, where monotonicity makes them sound.
 func (a *Analyzer) resetWarm() {
-	if !a.opts.WarmStart {
-		return
-	}
-	for i := range a.warmD {
-		a.warmD[i] = 0
-		a.warmC1[i] = 0
-	}
-	for i := range a.warmW {
-		a.warmW[i] = 0
-	}
+	clear(a.warmD)
+	clear(a.warmSpan)
+	clear(a.warmW)
+	a.warmC = a.warmC[:0]
 }
 
 // predIndex returns the dense index of id's chain predecessor given id's own
@@ -548,7 +590,7 @@ func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
 	if !ok {
 		return model.Infinite
 	}
-	worst, _, _ := a.response(i, terms, a.opts.WarmStart)
+	worst, _, _ := a.response(i, terms, true)
 	if worst > a.failCap[i] {
 		return model.Infinite
 	}
@@ -616,7 +658,7 @@ func (a *Analyzer) holisticSubtask(i int, l []model.Duration) model.Duration {
 	if !ok {
 		return model.Infinite
 	}
-	worstResp, _, _ := a.response(i, terms, a.opts.WarmStart)
+	worstResp, _, _ := a.response(i, terms, true)
 	// New completion-offset bound: the predecessor's worst completion plus
 	// this subtask's worst response from release. The response already
 	// contains the release jitter relative to the earliest possible
@@ -701,6 +743,13 @@ func resizeInt32s(s []int32, n int) []int32 {
 func resizeBounds(s []SubtaskBound, n int) []SubtaskBound {
 	if cap(s) < n {
 		return make([]SubtaskBound, n)
+	}
+	return s[:n]
+}
+
+func resizeSpans(s []seedSpan, n int) []seedSpan {
+	if cap(s) < n {
+		return make([]seedSpan, n)
 	}
 	return s[:n]
 }

@@ -25,8 +25,7 @@ type SystemHasher struct {
 // result-affecting Options fields. Human-readable labels — processor, task
 // and resource names — are deliberately excluded: renaming cannot change
 // any bound, so renamed systems share cache entries. Options.WarmStart is
-// likewise excluded, because warm-started and cold analyses produce
-// identical results (see Options.WarmStart).
+// likewise excluded: it does nothing.
 //
 // The encoding is positional (counts frame every list), so no field
 // separator ambiguity exists, and little-endian fixed-width, so digests are

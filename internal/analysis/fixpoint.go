@@ -79,8 +79,8 @@ func startDemand(base model.Duration, terms []term) model.Duration {
 // solveFixpoint finds the least t > 0 with t = base + Σ ceil((t+J_k)/p_k)·e_k
 // by the standard monotone iteration (Lehoczky; Joseph & Pandya). It starts
 // from S0 (startDemand) — every term contributes at least one instance —
-// so the iterates increase monotonically to the least fixed point. A warm
-// start below the least fixed point may be supplied to skip early
+// so the iterates increase monotonically to the least fixed point. A seed
+// at or below the least fixed point may be supplied to skip early
 // iterations (pass 0 when none is known); the larger of it and S0 is
 // handed to fixpointFrom. It returns model.Infinite if the iterate exceeds
 // cap or the iteration fails to converge within maxIter steps, along with
@@ -122,60 +122,6 @@ func fixpointFrom(base model.Duration, terms []term, cap model.Duration, maxIter
 	return model.Infinite, maxIter
 }
 
-// fluidSeed returns a provable lower bound on the least fixed point of
-// t = base + Σ ceil((t+J_k)/p_k)·e_k, usable as a sound warm start for
-// solveFixpoint. Relaxing ceil(x) ≥ x turns the demand equation into the
-// linear ("fluid") one t = base + Σ (t+J)·e/p, whose solution
-//
-//	t* = (base + Σ J·e/p) / (1 − U),  U = Σ e/p,
-//
-// satisfies t* ≤ lfp because the fluid demand under-approximates the real
-// demand pointwise and the least fixed point is monotone in the demand
-// function. The arithmetic runs in float64; the result is shrunk by a
-// rigorous relative error margin before flooring, so rounding can never
-// push the seed past the exact t*. Returns 0 (no seed) when U ≥ 1 within
-// the margin or a jitter is infinite.
-func fluidSeed(base model.Duration, terms []term) model.Duration {
-	num := float64(base)
-	util := 0.0
-	for _, tm := range terms {
-		if tm.Jitter.IsInfinite() {
-			return 0
-		}
-		u := float64(tm.Exec) / float64(tm.Period)
-		num += float64(tm.Jitter) * u
-		util += u
-	}
-	// Error accounting, in the style of utilSum.compareOne: every float
-	// operation contributes at most one ulp (≤ 1.1e-16 relative), and num
-	// accumulates 3 operations per term plus the int64→float conversions,
-	// util 2 per term. The division amplifies util's absolute error by
-	// 1/den, so the denominator must clear its own error band by a wide
-	// factor to be usable at all.
-	n := float64(len(terms) + 1)
-	const ulp = 1.1e-16
-	errUtil := 2 * ulp * n * util // absolute error bound on util
-	den := 1 - util
-	if den <= 8*errUtil || den <= 1e-9 {
-		// Fluid utilization at (or too near) 1: the fluid bound diverges
-		// and its error analysis degenerates. No seed — the caller's S0
-		// start is still exact.
-		return 0
-	}
-	rel := 4*ulp*n + errUtil/den // relative error of num/den combined
-	t := num / den * (1 - 2*rel)
-	if t >= float64(math.MaxInt64)/2 {
-		// Clamp far below the float→int overflow edge; the exact t* is
-		// larger still, so the clamp remains a sound seed.
-		return model.Duration(math.MaxInt64 / 2)
-	}
-	seed := model.Duration(t) - 1 // flooring slack: one whole tick
-	if seed < 0 {
-		return 0
-	}
-	return seed
-}
-
 // Options tunes the analyses. The zero value is NOT valid; use
 // DefaultOptions.
 type Options struct {
@@ -196,14 +142,10 @@ type Options struct {
 	// experiment); per-task bounds of a stopped run are not meaningful
 	// beyond their infiniteness.
 	StopOnFailure bool
-	// WarmStart seeds every inner fixed-point solve with provably sound
-	// lower bounds — the fluid (linear-relaxation) bound of the demand
-	// equation, plus each subtask's converged values from the previous
-	// outer pass of the iterative analyses (sound because the outer
-	// iterates grow monotonically from the optimistic seed, see
-	// DESIGN.md §4j). The computed bounds and outer iteration counts are
-	// identical either way; only the inner demand-evaluation counts
-	// collapse. Excluded from cache digests for the same reason.
+	// WarmStart does nothing. Every iterative analysis always seeds its
+	// inner fixed-point solves from the previous outer pass's converged
+	// values (DESIGN.md §4j); the field remains only so existing callers
+	// that set it still compile, and cache digests ignore it.
 	WarmStart bool
 }
 
@@ -275,112 +217,81 @@ func blockingTerm(s *model.System, id model.SubtaskID, opts Options) model.Durat
 }
 
 // procOverUtilized reports whether the level-(i,j) utilization (self plus
-// interferers) exceeds 1, in which case no busy-period bound exists. The
-// test is exact: an int64 numerator/denominator fast path kept reduced by
-// gcd, a float64 screen with a rigorous error margin once the integers
-// overflow (pseudo-random co-prime periods overflow the common denominator
-// quickly), and a math/big replay only when the screen lands inside its
-// margin of exactly 1 — so borderline-utilization systems cannot flicker
-// between analyzable and not across platforms the way the former
-// float-with-epsilon check allowed, and the big allocations stay off every
-// realistic path.
+// interferers) exceeds 1, in which case no busy-period bound exists: the
+// map-based companion of the dense test in Analyzer.init, deciding through
+// the same exact utilExceedsOne.
 func procOverUtilized(s *model.System, id model.SubtaskID) bool {
-	u := newUtilSum(int64(s.Subtask(id).Exec), int64(s.Task(id).Period))
-	ints := interferers(s, id)
-	for _, other := range ints {
-		u.add(int64(s.Subtask(other).Exec), int64(s.Task(other).Period))
+	terms := []term{{Period: s.Task(id).Period, Exec: s.Subtask(id).Exec}}
+	for _, other := range interferers(s, id) {
+		terms = append(terms, term{Period: s.Task(other).Period, Exec: s.Subtask(other).Exec})
 	}
-	switch u.compareOne() {
-	case 1:
-		return true
-	case -1:
-		return false
+	return utilExceedsOne(utilFloat(terms), terms)
+}
+
+// utilFloat is the float64 sum of Exec/Period over terms, in term order.
+func utilFloat(terms []term) float64 {
+	f := 0.0
+	for _, tm := range terms {
+		f += float64(tm.Exec) / float64(tm.Period)
 	}
-	// Ambiguous: replay in exact rational arithmetic.
-	sum := new(big.Rat).SetFrac64(int64(s.Subtask(id).Exec), int64(s.Task(id).Period))
-	var t big.Rat
-	for _, other := range ints {
-		sum.Add(sum, t.SetFrac64(int64(s.Subtask(other).Exec), int64(s.Task(other).Period)))
-	}
-	return sum.Cmp(ratOne) > 0
+	return f
 }
 
 var ratOne = big.NewRat(1, 1)
 
-// utilSum accumulates a sum of exec/period fractions. The reduced int64
-// fraction is exact until an addition overflows; a float64 shadow of the
-// sum and the number of terms survive past that point so compareOne can
-// still decide all but pathologically borderline sums without math/big.
-type utilSum struct {
-	num, den int64
-	overflow bool
-	f        float64
-	terms    int
-}
-
-// newUtilSum starts the sum at e/p. Periods are validated positive.
-func newUtilSum(e, p int64) utilSum {
-	g := gcd64(e, p)
-	if g > 1 {
-		e, p = e/g, p/g
-	}
-	return utilSum{num: e, den: p, f: float64(e) / float64(p), terms: 1}
-}
-
-// add accumulates e/p into the sum.
-func (u *utilSum) add(e, p int64) {
-	u.f += float64(e) / float64(p)
-	u.terms++
-	if u.overflow {
-		return
-	}
-	// num/den + e/p = (num·(p/g) + e·(den/g)) / (den·(p/g)), g = gcd(den,p).
-	g := gcd64(u.den, p)
-	pg, dg := p/g, u.den/g
-	n1, ok1 := mul64(u.num, pg)
-	n2, ok2 := mul64(e, dg)
-	den, ok3 := mul64(u.den, pg)
-	num, ok4 := add64(n1, n2)
-	if !(ok1 && ok2 && ok3 && ok4) {
-		u.overflow = true
-		return
-	}
-	if g = gcd64(num, den); g > 1 {
-		num, den = num/g, den/g
-	}
-	u.num, u.den = num, den
-}
-
-// compareOne compares the accumulated sum against 1: +1 above, -1 not
-// above, 0 undecidable here (the integers overflowed and the float shadow
-// is within its error margin of 1 — the caller must replay exactly). Each
-// of the ~2·terms floating operations contributes at most one ulp of
-// relative error, so 4e-16·terms·sum comfortably over-bounds the total.
-func (u *utilSum) compareOne() int {
-	if !u.overflow {
-		if u.num > u.den {
-			return 1
-		}
-		return -1
-	}
-	eps := 4e-16 * float64(u.terms) * u.f
+// utilExceedsOne decides Σ Exec/Period > 1 over terms exactly, given f, the
+// float64 sum of the same fractions added in term order. Three tiers,
+// cheapest first, so borderline systems cannot flicker between analyzable
+// and not across platforms the way a float-with-epsilon check would:
+//
+//  1. f itself, whenever it lies outside its rounding margin of 1. Each
+//     fraction costs two int64→float64 conversions and a division, each
+//     sum an addition, all rounded to nearest, so f is within
+//     (terms+2)·2⁻⁵³·sum of the exact sum, which 4e-16·terms·f covers
+//     (TestUtilExceedsOneMatchesBig checks it against math/big).
+//  2. Inside the margin (every sum of exactly 1 lands here), the exact
+//     fraction in int64, kept reduced by gcd.
+//  3. math/big, once tier 2 overflows.
+func utilExceedsOne(f float64, terms []term) bool {
+	eps := 4e-16 * float64(len(terms)) * f
 	switch {
-	case u.f > 1+eps:
-		return 1
-	case u.f < 1-eps:
-		return -1
+	case f > 1+eps:
+		return true
+	case f < 1-eps:
+		return false
 	}
-	return 0
+	num, den := int64(0), int64(1)
+	for _, tm := range terms {
+		var ok bool
+		if num, den, ok = addFrac(num, den, int64(tm.Exec), int64(tm.Period)); !ok {
+			var sum, t big.Rat
+			for _, tm := range terms {
+				sum.Add(&sum, t.SetFrac64(int64(tm.Exec), int64(tm.Period)))
+			}
+			return sum.Cmp(ratOne) > 0
+		}
+	}
+	return num > den
 }
 
-// utilExceedsOneExact decides Σ Exec/Period > 1 over a term slice in exact
-// rational arithmetic. Only the ambiguous compareOne branch reaches it.
-func utilExceedsOneExact(terms []term) bool {
-	var sum, t big.Rat
-	for _, tm := range terms {
-		sum.Add(&sum, t.SetFrac64(int64(tm.Exec), int64(tm.Period)))
+// addFrac returns num/den + e/p reduced, for non-negative numerators and
+// positive denominators, reporting false when an intermediate product or
+// sum overflows int64.
+func addFrac(num, den, e, p int64) (int64, int64, bool) {
+	// num/den + e/p = (num·(p/g) + e·(den/g)) / (den·(p/g)), g = gcd(den,p).
+	g := gcd64(den, p)
+	pg, dg := p/g, den/g
+	n1, ok1 := mul64(num, pg)
+	n2, ok2 := mul64(e, dg)
+	d, ok3 := mul64(den, pg)
+	n, ok4 := add64(n1, n2)
+	if !(ok1 && ok2 && ok3 && ok4) {
+		return 0, 0, false
 	}
-	return sum.Cmp(ratOne) > 0
+	if g = gcd64(n, d); g > 1 {
+		n, d = n/g, d/g
+	}
+	return n, d, true
 }
 
 // gcd64 returns the greatest common divisor of two non-negative int64s

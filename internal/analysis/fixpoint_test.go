@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"rtsync/internal/model"
@@ -201,6 +203,66 @@ func TestProcOverUtilized(t *testing.T) {
 	// Level of A alone: 0.6 <= 1.
 	if procOverUtilized(s, model.SubtaskID{Task: 0, Sub: 0}) {
 		t.Error("A's level should not be over-utilized")
+	}
+}
+
+// TestUtilExceedsOneMatchesBig checks the tiered over-utilization test
+// against math/big: random exec/period sets of every magnitude up to 2^62,
+// sums of exactly 1, and sums within 1e-15 of 1 on either side, which the
+// float screen must hand to the int64 tier (denominators below 2^63) or to
+// math/big (above; for exactly 1 too).
+func TestUtilExceedsOneMatchesBig(t *testing.T) {
+	check := func(terms []term) {
+		t.Helper()
+		var sum, x big.Rat
+		for _, tm := range terms {
+			sum.Add(&sum, x.SetFrac64(int64(tm.Exec), int64(tm.Period)))
+		}
+		want := sum.Cmp(ratOne) > 0
+		if got := utilExceedsOne(utilFloat(terms), terms); got != want {
+			t.Fatalf("utilExceedsOne(%+v) = %v, math/big says %v (sum %s)", terms, got, want, sum.RatString())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	mag := func() int64 { return 2 + rng.Int63n(int64(1)<<(1+rng.Intn(61))) }
+	for n := 0; n < 20000; n++ {
+		terms := make([]term, 1+rng.Intn(8))
+		for i := range terms {
+			p := mag()
+			// Utilizations around 1/len(terms), so sums straddle 1.
+			e := 1 + rng.Int63n(p/int64(len(terms))*2+1)
+			if e > p {
+				e = p
+			}
+			terms[i] = term{Period: model.Duration(p), Exec: model.Duration(e)}
+		}
+		check(terms)
+	}
+	for n := 0; n < 2000; n++ {
+		p := mag()
+		e := 1 + rng.Int63n(p-1)
+		// Exactly 1: one term, two terms over one period, and two terms
+		// over periods p and m·p.
+		check([]term{{Period: model.Duration(p), Exec: model.Duration(p)}})
+		check([]term{{Period: model.Duration(p), Exec: model.Duration(e)}, {Period: model.Duration(p), Exec: model.Duration(p - e)}})
+		if m := 1 + rng.Int63n(64); p <= (1<<62)/m {
+			check([]term{{Period: model.Duration(p), Exec: model.Duration(e)}, {Period: model.Duration(m * p), Exec: model.Duration(m * (p - e))}})
+		}
+		// Exactly 1 past int64: x/2q + y/2r has denominator 2qr, which
+		// overflows for q, r near 2^35 and hands the sum to math/big
+		// before (q−x)/2q + (r−y)/2r bring it back to 1.
+		if q, r := int64(1)<<34+rng.Int63n(1<<34), int64(1)<<34+rng.Int63n(1<<34); q != r {
+			x, y := 1+rng.Int63n(q-1), 1+rng.Int63n(r-1)
+			check([]term{{Period: model.Duration(2 * q), Exec: model.Duration(x)}, {Period: model.Duration(2 * r), Exec: model.Duration(y)},
+				{Period: model.Duration(2 * q), Exec: model.Duration(q - x)}, {Period: model.Duration(2 * r), Exec: model.Duration(r - y)}})
+		}
+		// Within 1e-15 of 1: (q−1)/q + 1/(q±1) = 1 ∓ 1/(q(q±1)), and a
+		// single (q±1)/q, for q from 2^25 up.
+		q := int64(1)<<25 + rng.Int63n(int64(1)<<(25+rng.Intn(37)))
+		for _, r := range []int64{q - 1, q + 1} {
+			check([]term{{Period: model.Duration(q), Exec: model.Duration(q - 1)}, {Period: model.Duration(r), Exec: 1}})
+			check([]term{{Period: model.Duration(q), Exec: model.Duration(r)}})
+		}
 	}
 }
 

@@ -283,17 +283,11 @@ func (a *Analyzer) lockWait(i int, proto lockProto, l, lw []model.Duration) mode
 		// The wait recurrence's jitters (bounds + lock waits) only grow
 		// across passes, so this request's previous converged wait seeds
 		// the next solve.
-		var wStart model.Duration
-		if a.opts.WarmStart {
-			wStart = a.warmW[gseg]
-		}
-		w := a.solve(g.Length.AddSat(lower), a.waitTerms, a.busyCap[i], wStart)
+		w := a.solve(g.Length.AddSat(lower), a.waitTerms, a.busyCap[i], a.warmW[gseg])
 		if w.IsInfinite() {
 			return model.Infinite
 		}
-		if a.opts.WarmStart {
-			a.warmW[gseg] = w
-		}
+		a.warmW[gseg] = w
 		gseg++
 		total = total.AddSat(w - g.Length)
 	}
@@ -309,7 +303,7 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 	if !ok {
 		return model.Infinite
 	}
-	worst, _, _ := a.response(i, terms, a.opts.WarmStart)
+	worst, _, _ := a.response(i, terms, true)
 	if worst > a.failCap[i] {
 		return model.Infinite
 	}

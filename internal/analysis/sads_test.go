@@ -197,24 +197,19 @@ func TestSADSHugePeriodChain(t *testing.T) {
 	b.AddTask("T", 1<<62, 0).Subtask(p, 3e18, 1).Subtask(q, 3e18, 1).Done()
 	s := b.MustBuild()
 	const want = model.Duration(6e18)
-	for _, warm := range []bool{false, true} {
-		opts := defaultTestOpts()
-		opts.WarmStart = warm
-		ds, err := AnalyzeDS(s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hol, err := AnalyzeDSHolistic(s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds.TaskEER[0] != want || hol.TaskEER[0] != want {
-			t.Errorf("warm=%v: EER SA/DS %v, holistic %v, want %v for both",
-				warm, ds.TaskEER[0], hol.TaskEER[0], want)
-		}
-		if ds.Schedulable(s, 0) {
-			t.Errorf("warm=%v: EER %v > deadline %v reported schedulable", warm, ds.TaskEER[0], s.Tasks[0].Deadline)
-		}
+	ds, err := AnalyzeDS(s, defaultTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hol, err := AnalyzeDSHolistic(s, defaultTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.TaskEER[0] != want || hol.TaskEER[0] != want {
+		t.Errorf("EER SA/DS %v, holistic %v, want %v for both", ds.TaskEER[0], hol.TaskEER[0], want)
+	}
+	if ds.Schedulable(s, 0) {
+		t.Errorf("EER %v > deadline %v reported schedulable", ds.TaskEER[0], s.Tasks[0].Deadline)
 	}
 }
 

@@ -57,7 +57,7 @@ type Params struct {
 	Stats *obs.SimStats
 	// AnalysisStats, when non-nil, is attached to every worker's Analyzer,
 	// aggregating fixed-point iteration histograms and solve counts across
-	// the whole sweep (the evidence behind warm-start iteration collapse).
+	// the whole sweep (demand evaluations per solve, seeded solves).
 	// Shared and atomic; nil keeps the analyzers on their zero-cost path.
 	AnalysisStats *obs.AnalysisStats
 	// Trace, when non-nil, records pipeline spans — one per swept unit

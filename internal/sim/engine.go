@@ -685,19 +685,17 @@ func (e *Engine) release(si int, m int64) {
 			demand = actual
 		}
 	}
+	// Field by field, not *job = Job{...}: the composite literal compiles
+	// to a stack temporary copied by runtime.duffcopy. Every field is set,
+	// so a recycled job keeps nothing from its previous life
+	// (TestReleaseResetsRecycledJob).
 	job := e.newJob()
-	*job = Job{
-		ID:        id,
-		Instance:  m,
-		Release:   t,
-		Remaining: demand,
-		idx:       int32(si),
-		base:      info.base,
-		eff:       info.eff,
-		deadline:  model.TimeInfinity,
-		demand:    demand,
-		holding:   -1,
-	}
+	job.ID, job.Instance, job.Release = id, m, t
+	job.Remaining, job.Completed, job.Completion = demand, false, 0
+	job.idx, job.base, job.eff, job.started = int32(si), info.base, info.eff, false
+	job.deadline, job.next = model.TimeInfinity, nil
+	job.demand, job.segIdx, job.holding = demand, 0, -1
+	job.boosted, job.boost, job.waitStart = false, 0, 0
 	if e.segMode {
 		job.segIdx = e.segOff[si]
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"rtsync/internal/analysis"
 	"rtsync/internal/model"
@@ -476,5 +477,90 @@ func TestStaleOverwriteCounting(t *testing.T) {
 				t.Errorf("first-release events = %d, want 2", got)
 			}
 		})
+	}
+}
+
+// releaseSnapshots is DS recording a copy of every job as the engine hands
+// it to OnRelease, before the job touches a ready queue.
+type releaseSnapshots struct {
+	DS
+	jobs []Job
+}
+
+func (p *releaseSnapshots) OnRelease(_ *Engine, j *Job, _ model.Time) { p.jobs = append(p.jobs, *j) }
+
+// poisonJob sets every field of j, unexported ones included, to a non-zero
+// value, so a field release forgets to initialise shows up in the job it
+// hands out.
+func poisonJob(j *Job) {
+	v := reflect.ValueOf(j).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch {
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(3)
+		case f.Kind() == reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case f.Kind() == reflect.Struct: // model.SubtaskID
+			for k := 0; k < f.NumField(); k++ {
+				f.Field(k).SetInt(1)
+			}
+		default:
+			panic("poisonJob: unhandled field kind " + f.Kind().String())
+		}
+	}
+}
+
+// TestReleaseResetsRecycledJob poisons every arena job and reruns the same
+// system: each job release hands out must look exactly as a fresh
+// composite literal would leave it, since release initialises recycled
+// jobs field by field.
+func TestReleaseResetsRecycledJob(t *testing.T) {
+	s := model.Example2()
+	p := &releaseSnapshots{}
+	cfg := Config{Protocol: p, Horizon: 40}
+	e, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range e.jobs {
+		poisonJob(j)
+	}
+	p.jobs = p.jobs[:0]
+	if err := e.Reset(s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.jobs) < len(e.jobs) {
+		t.Fatalf("%d releases, fewer than the %d poisoned arena jobs", len(p.jobs), len(e.jobs))
+	}
+	for _, got := range p.jobs {
+		if int(got.idx) < 0 || int(got.idx) >= e.idx.Len() {
+			t.Fatalf("released job has dense index %d", got.idx)
+		}
+		info := &e.subs[got.idx]
+		want := Job{
+			ID:        e.idx.ID(int(got.idx)),
+			Instance:  got.Instance,
+			Release:   got.Release,
+			Remaining: info.exec,
+			idx:       got.idx,
+			base:      info.base,
+			eff:       info.eff,
+			deadline:  model.TimeInfinity,
+			demand:    info.exec,
+			holding:   -1,
+		}
+		if got != want {
+			t.Errorf("released job\n got %+v\nwant %+v", got, want)
+		}
 	}
 }

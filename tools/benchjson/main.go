@@ -4,12 +4,19 @@
 //
 // Usage (what `make bench-analysis` runs):
 //
-//	go run ./tools/benchjson -out BENCH_analysis.json \
+//	go run ./tools/benchjson -out BENCH_analysis.json -count 5 \
 //	    -pkg ./internal/analysis -bench BenchmarkAnalyze -benchtime 10x
 //
 // -pkg takes a comma-separated package list; results merge into one "after"
 // map. Benchmarks reporting a custom ns/event or ns/term metric keep it as
 // "ns_event" or "ns_term".
+//
+// -count N is handed to go test, so each benchmark runs N times; its lines
+// fold into one measurement: the median ns/op, ns/event and ns/term (the
+// mean of the middle two for an even N) and the largest B/op and
+// allocs/op. One timing of a benchmark on a shared machine can land
+// anywhere in a spread wider than a regression gate, a median of five
+// rarely does.
 //
 // A baseline that names a benchmark the run no longer produces fails the
 // command loudly: a renamed or deleted benchmark must be renamed in its
@@ -70,6 +77,7 @@ func main() {
 		pkg        = flag.String("pkg", "./internal/analysis", "comma-separated packages whose benchmarks to run")
 		bench      = flag.String("bench", "BenchmarkAnalyze", "benchmark name regexp")
 		benchtime  = flag.String("benchtime", "10x", "go test -benchtime value")
+		count      = flag.Int("count", 1, "go test -count value; repeated runs fold to the median time and the largest B/op and allocs/op")
 		check      = flag.Bool("check", false, "verify baseline benchmarks still exist; do not rewrite -out")
 		maxRegress = flag.Float64("max-regress", 0,
 			"fail if ns/op, ns/event or ns/term regresses more than this percent vs the committed after baseline (0 disables; run at the baseline's -benchtime)")
@@ -79,24 +87,25 @@ func main() {
 			"accept regressions beyond the thresholds and rewrite -out with the new numbers (the intentional-regression escape hatch)")
 	)
 	flag.Parse()
-	if err := run(*out, *pkg, *bench, *benchtime, *check, *update, *maxRegress, *maxRegressAllocs); err != nil {
+	if err := run(*out, *pkg, *bench, *benchtime, *count, *check, *update, *maxRegress, *maxRegressAllocs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, pkgs, bench, benchtime string, check, update bool, maxRegress, maxRegressAllocs float64) error {
-	after := make(map[string]measurement)
+func run(out, pkgs, bench, benchtime string, count int, check, update bool, maxRegress, maxRegressAllocs float64) error {
+	runs := make(map[string][]measurement)
 	for _, pkg := range strings.Split(pkgs, ",") {
 		cmd := exec.Command("go", "test", "-run", "NONE", "-bench", bench,
-			"-benchmem", "-benchtime", benchtime, pkg)
+			"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
 		cmd.Stderr = os.Stderr
 		raw, err := cmd.Output()
 		if err != nil {
 			return fmt.Errorf("go test %s: %w", pkg, err)
 		}
-		parse(string(raw), after)
+		parse(string(raw), runs)
 	}
+	after := fold(runs)
 	if len(after) == 0 {
 		return fmt.Errorf("no benchmark lines matched %q in %s", bench, pkgs)
 	}
@@ -206,8 +215,9 @@ func findRegressions(base, after map[string]measurement, pct, apct float64) []st
 	return regressions
 }
 
-// parse extracts name -> measurement from go test -benchmem output into res.
-func parse(out string, res map[string]measurement) {
+// parse extracts every benchmark line of go test -benchmem output into res,
+// one measurement per line, so -count repetitions accumulate per name.
+func parse(out string, res map[string][]measurement) {
 	start := 0
 	for i := 0; i <= len(out); i++ {
 		if i == len(out) || out[i] == '\n' {
@@ -222,9 +232,43 @@ func parse(out string, res map[string]measurement) {
 				} else {
 					meas.NsEvent = custom
 				}
-				res[m[1]] = meas
+				res[m[1]] = append(res[m[1]], meas)
 			}
 			start = i + 1
 		}
 	}
+}
+
+// fold reduces each benchmark's repeated measurements to one: the median
+// ns/op, ns/event and ns/term, and the largest B/op and allocs/op.
+func fold(runs map[string][]measurement) map[string]measurement {
+	res := make(map[string]measurement, len(runs))
+	for name, ms := range runs {
+		f := measurement{
+			NsOp:    median(ms, func(m measurement) float64 { return m.NsOp }),
+			NsEvent: median(ms, func(m measurement) float64 { return m.NsEvent }),
+			NsTerm:  median(ms, func(m measurement) float64 { return m.NsTerm }),
+		}
+		for _, m := range ms {
+			f.BOp = max(f.BOp, m.BOp)
+			f.AllocsOp = max(f.AllocsOp, m.AllocsOp)
+		}
+		res[name] = f
+	}
+	return res
+}
+
+// median returns the median of field over ms: the middle value, or the
+// mean of the middle two for an even count.
+func median(ms []measurement, field func(measurement) float64) float64 {
+	v := make([]float64, len(ms))
+	for i, m := range ms {
+		v[i] = field(m)
+	}
+	sort.Float64s(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
