@@ -101,15 +101,16 @@ bench-regress:
 		-out BENCH_experiments.json -pkg ./internal/experiments,./internal/record \
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x
 
-# Differential-fuzz the equivalence claims for 30s each — the timing wheel
-# against the reference heap, the locking arbiters, the analyzer's
-# single-division demand kernel and shortcut per-instance loop against the
-# reference kernel, and rtsyncd's delta path (cache, incremental) against a
-# fresh full analysis, with hostile deltas that must be rejected, not
-# panic. What CI's fuzz smoke runs; crank -fuzztime locally for a deeper
-# soak.
+# Fuzz for 30s each: the analytic bounds against simulation (no observed
+# end-to-end response above a finite SA/DS, SA/PM, MPCP or DPCP bound),
+# critical-section segments against the legacy whole-execution locks, the
+# analyzer's single-division demand kernel and shortcut per-instance loop
+# against the reference kernel, and rtsyncd's delta path (cache,
+# incremental) against a fresh full analysis, with hostile deltas that must
+# be rejected, not panic. What CI's fuzz smoke runs; crank -fuzztime
+# locally for a deeper soak.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz FuzzQueueEquivalence -fuzztime 30s ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzBoundsSound -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzLockingEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzDemandExact -fuzztime 30s ./internal/analysis
 	$(GO) test -run NONE -fuzz FuzzAnalyzeExact -fuzztime 30s ./internal/analysis

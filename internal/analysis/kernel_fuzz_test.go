@@ -2,7 +2,7 @@
 // the S0 start and the shortcut per-instance loop (closed-form single
 // instance, C(k−1)+e starts) must agree exactly with the two-division
 // kernel and the per-instance loop from S0 they replaced, kept here as the
-// reference the way the binary heap is kept for the timing wheel.
+// reference.
 package analysis
 
 import (

@@ -42,7 +42,6 @@ func TestManifestGolden(t *testing.T) {
 	st.NoteContextSwitch()
 	st.NoteRGStall(6)
 	st.ObserveQueueDepth(12)
-	st.AddCascades(2)
 	st.AddIdle(0, 40)
 	st.NoteLockAcquisition()
 	st.NotePriorityBoost()

@@ -36,7 +36,6 @@ func (s *SimStats) Merge(src *SimStats) {
 	s.contextSwitches.Add(src.contextSwitches.Load())
 	s.rgStalls.Add(src.rgStalls.Load())
 	s.queueHighWater.Max(src.queueHighWater.Load())
-	s.cascades.Add(src.cascades.Load())
 	s.runs.Add(src.runs.Load())
 	for p := range s.idle {
 		s.idle[p].Add(src.idle[p].Load())

@@ -73,8 +73,6 @@ func TestSimStatsSnapshot(t *testing.T) {
 	st.NoteRGStall(3)
 	st.ObserveQueueDepth(10)
 	st.ObserveQueueDepth(4)
-	st.AddCascades(3)
-	st.AddCascades(0) // no-op fast path
 	st.AddIdle(0, 100)
 	st.AddIdle(2, 50)
 	st.AddIdle(MaxProcs+5, 7) // clamps into the last slot
@@ -104,9 +102,6 @@ func TestSimStatsSnapshot(t *testing.T) {
 	}
 	if s.EventQueueHighWater != 10 {
 		t.Errorf("high water = %d, want 10", s.EventQueueHighWater)
-	}
-	if s.WheelCascades != 3 {
-		t.Errorf("cascades = %d, want 3", s.WheelCascades)
 	}
 	if s.ReleaseGuardStalls != 1 || s.StallTicks == nil || s.StallTicks.Sum != 3 {
 		t.Errorf("stalls: %d, %+v", s.ReleaseGuardStalls, s.StallTicks)

@@ -96,8 +96,6 @@ func WritePromText(w io.Writer, sim *SimStats, sweep *SweepProgress, analysis *A
 		p.sample("rtsync_sim_release_guard_stalls_total", sim.rgStalls.Load())
 		p.header("rtsync_sim_event_queue_high_water", "gauge", "Deepest event-queue occupancy observed.")
 		p.sample("rtsync_sim_event_queue_high_water", sim.queueHighWater.Load())
-		p.header("rtsync_sim_wheel_cascades_total", "counter", "Timing-wheel bucket redistributions.")
-		p.sample("rtsync_sim_wheel_cascades_total", sim.cascades.Load())
 		p.header("rtsync_sim_runs_total", "counter", "Completed simulation runs.")
 		p.sample("rtsync_sim_runs_total", sim.runs.Load())
 		p.header("rtsync_sim_lock_acquisitions_total", "counter", "Critical-section entries (local or global resources).")

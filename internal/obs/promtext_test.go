@@ -79,7 +79,6 @@ func TestWritePromText(t *testing.T) {
 	st.NoteLockSuspension(12)
 	st.NotePriorityBoost()
 	st.ObserveQueueDepth(17)
-	st.AddCascades(3)
 	st.AddIdle(1, 42)
 
 	sp := NewSweepProgress()

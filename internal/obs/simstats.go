@@ -26,7 +26,6 @@ type SimStats struct {
 	contextSwitches Counter
 	rgStalls        Counter
 	queueHighWater  Counter
-	cascades        Counter
 	runs            Counter
 	idle            [MaxProcs]Counter
 	stall           Histogram
@@ -78,13 +77,9 @@ func (s *SimStats) NoteLockSuspension(ticks int64) {
 func (s *SimStats) NotePriorityBoost() { s.priorityBoosts.Inc() }
 
 // ObserveQueueDepth raises the event-queue occupancy high-water mark (the
-// timing wheel's pending events, overflow included, plus the simulator's
-// armed per-processor tentative slots).
+// event heap's pending timers and releases plus the simulator's armed
+// per-processor tentative slots).
 func (s *SimStats) ObserveQueueDepth(depth int64) { s.queueHighWater.Max(depth) }
-
-// AddCascades charges n timing-wheel bucket redistributions — the wheel's
-// amortized re-sort work.
-func (s *SimStats) AddCascades(n int64) { s.cascades.Add(n) }
 
 // AddIdle charges ticks of idle time to processor p (clamped into the
 // fixed bank).
@@ -119,11 +114,8 @@ type SimSnapshot struct {
 	ReleaseGuardStalls int64              `json:"release_guard_stalls"`
 	StallTicks         *HistogramSnapshot `json:"stall_ticks,omitempty"`
 	// EventQueueHighWater is the deepest the event queue ever got
-	// (timing-wheel occupancy, overflow included, plus armed tentative
-	// slots).
+	// (event-heap occupancy plus armed tentative slots).
 	EventQueueHighWater int64 `json:"event_queue_high_water"`
-	// WheelCascades counts timing-wheel bucket redistributions.
-	WheelCascades int64 `json:"wheel_cascades"`
 	// Runs counts completed simulation runs.
 	Runs int64 `json:"runs"`
 	// IdleTicksPerProc is idle time per processor index, trimmed of
@@ -149,7 +141,6 @@ func (s *SimStats) Snapshot() SimSnapshot {
 		ContextSwitches:     s.contextSwitches.Load(),
 		ReleaseGuardStalls:  s.rgStalls.Load(),
 		EventQueueHighWater: s.queueHighWater.Load(),
-		WheelCascades:       s.cascades.Load(),
 		Runs:                s.runs.Load(),
 	}
 	for op, name := range eventOpNames {

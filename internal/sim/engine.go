@@ -95,8 +95,8 @@ type Config struct {
 	// high water, per-processor idle time). A tentative event that a re-arm
 	// overwrites is counted at the overwrite when it fell due within the
 	// horizon, exactly where the queue used to pop and drop it, so the
-	// per-op totals match Metrics.Events; the high water counts the wheel,
-	// its overflow and the armed tentative slots. The hooks are nil-guarded
+	// per-op totals match Metrics.Events; the high water counts the event
+	// heap and the armed tentative slots. The hooks are nil-guarded
 	// plain-type calls: a nil Stats costs one predictable branch per hook
 	// and the instrumented loop stays allocation-free either way, so
 	// metrics and traces are bit-identical with observability on or off.
@@ -163,7 +163,7 @@ type Engine struct {
 	idx    *model.SubtaskIndex
 	cfg    Config
 	clock  model.Time
-	events timingWheel
+	events eventHeap
 	// slots holds each processor's tentative completion or segment event;
 	// Run merges them with events, which holds only timers and releases.
 	slots  tentativeSlots
@@ -451,17 +451,16 @@ func (e *Engine) Run() (*Outcome, error) {
 		if e.stats != nil {
 			e.stats.ObserveQueueDepth(int64(e.events.len() + e.slots.armed))
 		}
-		// Merge the slots with the wheel in (at, kind, seq) order: a slot
-		// (kindCompletion) wins every tie with the wheel's timers and
-		// releases, so the wheel pops only an event strictly before the
+		// Merge the slots with the heap in (at, kind, seq) order: a slot
+		// (kindCompletion) wins every tie with the heap's timers and
+		// releases, so the heap pops only an event strictly before the
 		// earliest slot.
 		var ev event
-		if p := e.slots.earliest(); p >= 0 {
-			if !e.events.popBefore(e.slots.s[p].key.at, &ev) {
-				e.slots.take(p, &ev)
-			}
+		p := e.slots.earliest()
+		if p >= 0 && (e.events.len() == 0 || e.slots.s[p].key.at <= e.events.top().at) {
+			e.slots.take(p, &ev)
 		} else if e.events.len() > 0 {
-			e.events.pop(&ev)
+			ev = e.events.pop()
 		} else {
 			break
 		}
@@ -495,7 +494,6 @@ func (e *Engine) Run() (*Outcome, error) {
 				e.stats.AddIdle(p, int64(e.cfg.Horizon.Sub(e.procs[p].idleStart)))
 			}
 		}
-		e.stats.AddCascades(e.events.cascades)
 		e.stats.NoteRun()
 	}
 	e.out = Outcome{Metrics: e.metrics, Trace: e.trace}
@@ -590,12 +588,12 @@ func (r *Runner) Run(s *model.System, cfg Config) (*Outcome, error) {
 	return out, err
 }
 
-// push schedules a timer or release on the wheel, stamping its sequence
-// number.
+// push schedules a timer or release on the event heap, stamping its
+// sequence number.
 func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
-	e.events.push(&ev)
+	e.events.push(ev)
 }
 
 // pushFirstRelease arms instance m of task i's first subtask at time at.
@@ -847,7 +845,7 @@ func (e *Engine) dispatch(p int, job *Job, t model.Time) {
 }
 
 // arm bumps processor p's dispatch generation and stores its new tentative
-// event in the slot, stamped from the same sequence counter as wheel
+// event in the slot, stamped from the same sequence counter as heap
 // pushes. Whatever the slot held is stale by that bump; if it fell due
 // within the horizon, the queue would have popped and dropped it before
 // the run ended, so it is counted here as that pop to keep Metrics.Events

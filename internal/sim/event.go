@@ -15,9 +15,9 @@ import "rtsync/internal/model"
 // settled before timers, timers before releases. Correctness does not hinge
 // on this order — the engine re-checks remaining work on every touch — but
 // it makes traces stable and easy to reason about. Only timers and releases
-// enter the timing wheel; kindCompletion events live in the engine's
+// enter the event heap; kindCompletion events live in the engine's
 // per-processor tentative slots, which is why a slot wins every tie with the
-// wheel at the same instant.
+// heap at the same instant.
 const (
 	kindCompletion = iota
 	kindTimer
@@ -49,10 +49,9 @@ const (
 	opSegment
 )
 
-// event is one scheduled occurrence, a plain pointer-free value: the queue
+// event is one scheduled occurrence, a plain pointer-free value: the heap
 // stores events by value, so pushing and popping allocate nothing in the
-// steady state, and neither the wheel arena nor the overflow heap holds
-// anything the garbage collector must scan.
+// steady state, and the heap holds nothing the garbage collector must scan.
 type event struct {
 	at   model.Time
 	seq  int64
@@ -77,9 +76,8 @@ func (e *event) before(o *event) bool {
 
 // eventHeap is a hand-rolled binary min-heap of event values: no per-event
 // allocation, no interface boxing, and the backing array is reused across
-// Engine.Reset. It is the timing wheel's overflow store for events beyond
-// the wheel's block span, and the reference order the queue tests and
-// FuzzQueueEquivalence drive the wheel against.
+// Engine.Reset. It is the engine's future-event set for timers and
+// releases; Run merges it with the tentative slots.
 type eventHeap struct {
 	items []event
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -161,16 +162,52 @@ func globalSystem() *model.System {
 	return b.MustBuild()
 }
 
-// overflowSystem builds a two-processor system whose periods (40M and 60M
-// ticks) exceed the timing wheel's ~16.8M-tick block span, so every first
-// release and protocol timer crosses the wheel's overflow heap.
-func overflowSystem() *model.System {
+// longPeriodSystem builds a two-processor system with periods of 40M and
+// 60M ticks, four times the largest default workload period, so first
+// releases and protocol timers sit tens of millions of ticks ahead of the
+// clock.
+func longPeriodSystem() *model.System {
 	b := model.NewBuilder()
 	pr := b.AddProcessor("P")
 	q := b.AddProcessor("Q")
 	b.AddTask("A", 40_000_000, 0).Subtask(pr, 1_000_000, 2).Subtask(q, 2_000_000, 1).Done()
 	b.AddTask("B", 60_000_000, 0).Subtask(q, 3_000_000, 2).Subtask(pr, 1_500_000, 1).Done()
 	return b.MustBuild()
+}
+
+// TestRunnerReuseLongPeriods recycles one Runner over the long-period
+// system. The first run stops mid-schedule at 120.5M ticks, leaving a
+// tentative completion armed and, under MPM, protocol timers queued past
+// the horizon; the second runs to 200M ticks and must match a fresh
+// engine's run, so Reset must drop everything the first run left queued.
+func TestRunnerReuseLongPeriods(t *testing.T) {
+	sys := longPeriodSystem()
+	b, ok := pmBoundsOf(t, sys)
+	if !ok {
+		t.Fatal("SA/PM bounds are infinite")
+	}
+	for _, p := range []sim.Protocol{sim.NewRG(), sim.NewMPM(b)} {
+		full := sim.Config{Protocol: p, Horizon: 200_000_000}
+		fresh, err := sim.Run(sys, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Metrics.Events == 0 || fresh.Metrics.Tasks[0].Completed == 0 {
+			t.Fatalf("%s: nothing happened (events=%d)", p.Name(), fresh.Metrics.Events)
+		}
+		var r sim.Runner
+		if _, err := r.Run(sys, sim.Config{Protocol: p, Horizon: 120_500_000}); err != nil {
+			t.Fatal(err)
+		}
+		reused, err := r.Run(sys, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh.Metrics, reused.Metrics) {
+			t.Fatalf("%s: reused Runner diverged from a fresh engine\nfresh:  %+v\nreused: %+v",
+				p.Name(), fresh.Metrics, reused.Metrics)
+		}
+	}
 }
 
 // sporadicDelay is a deterministic FirstReleaseDelay for the PM-violation
@@ -266,12 +303,11 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	add("offsets-rg", ex1, sim.Config{Protocol: sim.NewRG(), Horizon: 60, ClockOffsets: offs}, true)
 
-	// Periods past the wheel's block span: the overflow-heap path. These
-	// digests were captured while the engine could still replay every
-	// run on the reference binary-heap queue, with identical results.
-	ovf := overflowSystem()
-	add("overflow-rg", ovf, sim.Config{Protocol: sim.NewRG(), Horizon: 200_000_000}, false)
-	add("overflow-ds", ovf, sim.Config{Protocol: sim.NewDS(), Horizon: 200_000_000}, false)
+	// Long periods: events queued tens of millions of ticks ahead. The
+	// case names predate the event heap; the digests are keyed by them.
+	long := longPeriodSystem()
+	add("overflow-rg", long, sim.Config{Protocol: sim.NewRG(), Horizon: 200_000_000}, false)
+	add("overflow-ds", long, sim.Config{Protocol: sim.NewDS(), Horizon: 200_000_000}, false)
 
 	// Sporadic first releases: PM violates precedence, the others do not.
 	if b, ok := pmBoundsOf(t, ex2); ok {

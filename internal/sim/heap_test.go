@@ -49,66 +49,6 @@ func TestEventHeapOrderingProperty(t *testing.T) {
 	}
 }
 
-// TestEventWheelOrderingProperty: the timing wheel pops every event in
-// (at, kind, seq) order, whatever the insertion order.
-func TestEventWheelOrderingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		in := randomEvents(rand.New(rand.NewSource(seed)))
-		var q timingWheel
-		for i := range in {
-			q.push(&in[i])
-		}
-		var out []event
-		for q.len() > 0 {
-			var ev event
-			q.pop(&ev)
-			out = append(out, ev)
-		}
-		return len(out) == len(in) && inEventOrder(out)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestEventWheelFarFutureOrdering drives timestamps across window and block
-// boundaries — cascades and the overflow heap — interleaving pushes with
-// pops and bounded pops the way the engine does (pushes never precede the
-// last popped time or refused bound), and requires the wheel to pop
-// exactly what the reference heap pops.
-func TestEventWheelFarFutureOrdering(t *testing.T) {
-	deltas := []int64{0, 1, 63, 64, 65, 4095, 4096, 262144, wheelSpan - 1,
-		wheelSpan, wheelSpan + 7, 3 * wheelSpan, 1 << 40}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var q queuePair
-		delta := func() model.Duration { return model.Duration(deltas[rng.Intn(len(deltas))]) }
-		for i := 0; i < 400; i++ {
-			var err error
-			switch r := rng.Intn(6); {
-			case r == 5:
-				err = q.popBefore(q.now.Add(delta()))
-			case q.heap.len() == 0 || r < 3:
-				err = q.push(q.now.Add(delta()), int8(rng.Intn(3)))
-			default:
-				err = q.pop()
-			}
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		if err := q.drain(); err != nil {
-			t.Log(err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // laneTop is the top priority the ready-queue tests rebase the lanes at;
 // every job they draw has a priority in [0, laneTop).
 const laneTop = 8

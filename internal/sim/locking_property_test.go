@@ -75,38 +75,42 @@ func TestGlobalResourceSystemsInvariants(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
-	protos := []struct {
-		kind    LockingKind
-		analyze func(*model.System, analysis.Options) (*analysis.Result, error)
-	}{
-		{LockingMPCP, analysis.AnalyzeMPCP},
-		{LockingDPCP, analysis.AnalyzeDPCP},
-	}
 	for trial := 0; trial < trials; trial++ {
 		s := randomGlobalSystem(rng)
-		horizon := model.Time(int64(s.MaxPeriod()) * 12)
-		for _, p := range protos {
-			res, err := p.analyze(s, analysis.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := Run(s, Config{Protocol: NewDS(), Horizon: horizon,
-				Trace: true, Locking: p.kind})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, p.kind, err)
-			}
-			if problems := Validate(out.Trace, ValidateOptions{CheckPrecedence: true}); len(problems) > 0 {
-				t.Fatalf("trial %d %s: %v\nsystem: %v", trial, p.kind, problems[0], s)
-			}
-			for i := range s.Tasks {
-				if res.TaskEER[i].IsInfinite() {
-					continue
-				}
-				if model.Duration(out.Metrics.Tasks[i].MaxEER) > res.TaskEER[i] {
-					t.Fatalf("trial %d %s task %d: observed max EER %v exceeds analytic bound %v\nsystem: %v",
-						trial, p.kind, i, out.Metrics.Tasks[i].MaxEER, res.TaskEER[i], s)
-				}
-			}
+		checkLockingBounds(t, s, LockingMPCP)
+		checkLockingBounds(t, s, LockingDPCP)
+	}
+}
+
+// checkLockingBounds simulates s under DS with global locking protocol kind
+// (MPCP or DPCP) and requires the trace to validate and each task's
+// observed maximum EER to stay within its finite MPCP or DPCP bound.
+func checkLockingBounds(t *testing.T, s *model.System, kind LockingKind) {
+	t.Helper()
+	analyze := analysis.AnalyzeMPCP
+	if kind == LockingDPCP {
+		analyze = analysis.AnalyzeDPCP
+	}
+	res, err := analyze(s, analysis.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := model.Time(int64(s.MaxPeriod()) * 12)
+	out, err := Run(s, Config{Protocol: NewDS(), Horizon: horizon,
+		Trace: true, Locking: kind})
+	if err != nil {
+		t.Fatalf("%s: %v\nsystem: %v", kind, err, s)
+	}
+	if problems := Validate(out.Trace, ValidateOptions{CheckPrecedence: true}); len(problems) > 0 {
+		t.Fatalf("%s: %v\nsystem: %v", kind, problems[0], s)
+	}
+	for i := range s.Tasks {
+		if res.TaskEER[i].IsInfinite() {
+			continue
+		}
+		if model.Duration(out.Metrics.Tasks[i].MaxEER) > res.TaskEER[i] {
+			t.Fatalf("%s task %d: observed max EER %v exceeds analytic bound %v\nsystem: %v",
+				kind, i, out.Metrics.Tasks[i].MaxEER, res.TaskEER[i], s)
 		}
 	}
 }

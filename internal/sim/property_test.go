@@ -75,43 +75,49 @@ func TestRandomSystemsInvariants(t *testing.T) {
 		trials = 6
 	}
 	for trial := 0; trial < trials; trial++ {
-		s := randomSystem(rng, 1+rng.Intn(3), 2+rng.Intn(4), 3)
-		horizon := model.Time(int64(s.MaxPeriod()) * 12)
+		checkReleaseProtocols(t, randomSystem(rng, 1+rng.Intn(3), 2+rng.Intn(4), 3))
+	}
+}
 
-		pmRes, err := analysis.AnalyzePM(s, analysis.DefaultOptions())
+// checkReleaseProtocols simulates s under every protocol allProtocols
+// admits and requires each trace to validate, with no precedence violation
+// or overrun, and each task's observed maximum EER to stay within its
+// analyzed bound: SA/DS under DS, SA/PM under the others.
+func checkReleaseProtocols(t *testing.T, s *model.System) {
+	t.Helper()
+	horizon := model.Time(int64(s.MaxPeriod()) * 12)
+	pmRes, err := analysis.AnalyzePM(s, analysis.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsRes, err := analysis.AnalyzeDS(s, analysis.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range allProtocols(t, s) {
+		out, err := Run(s, Config{Protocol: p, Horizon: horizon, Trace: true})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v\nsystem: %v", p.Name(), err, s)
 		}
-		dsRes, err := analysis.AnalyzeDS(s, analysis.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+		opts := ValidateOptions{CheckPrecedence: true, CheckRGSpacing: p.Name() == "RG"}
+		if problems := Validate(out.Trace, opts); len(problems) > 0 {
+			t.Fatalf("%s: invalid trace: %v\nsystem: %v", p.Name(), problems[0], s)
 		}
-
-		for _, p := range allProtocols(t, s) {
-			out, err := Run(s, Config{Protocol: p, Horizon: horizon, Trace: true})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, p.Name(), err)
-			}
-			opts := ValidateOptions{CheckPrecedence: true, CheckRGSpacing: p.Name() == "RG"}
-			if problems := Validate(out.Trace, opts); len(problems) > 0 {
-				t.Fatalf("trial %d %s: invalid trace: %v\nsystem: %v", trial, p.Name(), problems[0], s)
-			}
-			if out.Metrics.PrecedenceViolations != 0 {
-				t.Fatalf("trial %d %s: %d precedence violations", trial, p.Name(), out.Metrics.PrecedenceViolations)
-			}
-			if out.Metrics.Overruns != 0 {
-				t.Fatalf("trial %d %s: %d overruns", trial, p.Name(), out.Metrics.Overruns)
-			}
-			// Soundness of bounds against observation.
-			bounds := pmRes.TaskEER
-			if p.Name() == "DS" {
-				bounds = dsRes.TaskEER
-			}
-			for i := range s.Tasks {
-				if model.Duration(out.Metrics.Tasks[i].MaxEER) > bounds[i] {
-					t.Fatalf("trial %d %s: task %d max EER %v exceeds bound %v\nsystem: %v",
-						trial, p.Name(), i, out.Metrics.Tasks[i].MaxEER, bounds[i], s)
-				}
+		if out.Metrics.PrecedenceViolations != 0 {
+			t.Fatalf("%s: %d precedence violations\nsystem: %v", p.Name(), out.Metrics.PrecedenceViolations, s)
+		}
+		if out.Metrics.Overruns != 0 {
+			t.Fatalf("%s: %d overruns\nsystem: %v", p.Name(), out.Metrics.Overruns, s)
+		}
+		// Soundness of bounds against observation.
+		bounds := pmRes.TaskEER
+		if p.Name() == "DS" {
+			bounds = dsRes.TaskEER
+		}
+		for i := range s.Tasks {
+			if model.Duration(out.Metrics.Tasks[i].MaxEER) > bounds[i] {
+				t.Fatalf("%s: task %d max EER %v exceeds bound %v\nsystem: %v",
+					p.Name(), i, out.Metrics.Tasks[i].MaxEER, bounds[i], s)
 			}
 		}
 	}

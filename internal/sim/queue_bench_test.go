@@ -24,11 +24,10 @@ func benchDeltas(n int) []model.Duration {
 }
 
 // BenchmarkEventQueuePushPop measures the classic hold model — pop the
-// minimum, push a successor — at a steady occupancy of 32 events: the
-// timing wheel against the reference heap it replaced. It prices the queue
-// structures, not the engine's traffic: tentative completions, once most of
-// the pops, now live in per-processor slots, and the wheel sees only timers
-// and releases (BenchmarkEngineEvents measures the whole loop).
+// minimum, push a successor — on the event heap at a steady occupancy of 32
+// events. It prices the queue structure, not the engine's traffic: the heap
+// holds only timers and releases, and tentative completions live in
+// per-processor slots (BenchmarkEngineEvents measures the whole loop).
 func BenchmarkEventQueuePushPop(b *testing.B) {
 	const hold = 32
 	deltas := benchDeltas(1024)
@@ -37,7 +36,7 @@ func BenchmarkEventQueuePushPop(b *testing.B) {
 		var seq int64
 		for i := 0; i < hold; i++ {
 			seq++
-			q.push(event{at: model.Time(i), kind: int8(i % int(numKinds)), seq: seq})
+			q.push(event{at: model.Time(i), kind: int8(i % (kindRelease + 1)), seq: seq})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -47,24 +46,6 @@ func BenchmarkEventQueuePushPop(b *testing.B) {
 			ev.at = ev.at.Add(deltas[i&1023])
 			ev.seq = seq
 			q.push(ev)
-		}
-	})
-	b.Run("wheel", func(b *testing.B) {
-		var q timingWheel
-		var seq int64
-		for i := 0; i < hold; i++ {
-			seq++
-			q.push(&event{at: model.Time(i), kind: int8(i % int(numKinds)), seq: seq})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var ev event
-		for i := 0; i < b.N; i++ {
-			q.pop(&ev)
-			seq++
-			ev.at = ev.at.Add(deltas[i&1023])
-			ev.seq = seq
-			q.push(&ev)
 		}
 	})
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // tentativeSlots holds each processor's one live tentative event outside
-// the timing wheel: the running job's completion, or under MPCP/DPCP its
+// the event heap: the running job's completion, or under MPCP/DPCP its
 // next critical-section boundary. Every (re)arm follows a dispatch
 // generation bump, so a slot's previous occupant is stale the moment it is
-// overwritten — a preemption replaces the event instead of leaving it to
-// cascade through the wheel and pop as a no-op.
+// overwritten — a preemption replaces the event instead of leaving it in
+// the heap to pop as a no-op.
 //
 // Slot events are kindCompletion, the lowest kind, so among themselves they
-// order by (at, seq) and at one instant they pop before any wheel event.
+// order by (at, seq) and at one instant they pop before any heap event.
 // An empty slot holds emptyKey, which sorts after every armed slot, so
 // finding the earliest is a branch-free minimum.
 type tentativeSlots struct {
@@ -110,8 +110,8 @@ func (t *tentativeSlots) scan() int {
 	return best
 }
 
-// take empties processor p's slot — the earliest — into *dst as the event
-// the wheel would have popped.
+// take empties processor p's slot — the earliest — into *dst as a
+// kindCompletion event.
 func (t *tentativeSlots) take(p int, dst *event) {
 	sl := &t.s[p]
 	*dst = event{at: sl.key.at, seq: sl.key.seq, inst: sl.gen, kind: kindCompletion, op: sl.op, a: int32(p)}
